@@ -11,6 +11,7 @@
 #include "simt/simd/simd_exec.h"
 #include "simt/warp.h"
 #include "util/bitops.h"
+#include "util/logging.h"
 
 namespace sassi::simt {
 
@@ -19,11 +20,11 @@ using namespace sass;
 namespace {
 
 /*
- * Fast-path lane helpers. These run only inside superblocks, where
- * the compiler has already proven every referenced register is
- * within the kernel's budget, so they index the register-major file
- * directly instead of going through Warp::reg/setReg's panic_if
- * checks. RZ still reads 0 / discards writes.
+ * Lane helpers of the exec functions. The program constructor has
+ * already checked every register an instruction names against the
+ * kernel's budget, so they index the register-major file directly
+ * instead of going through Warp::reg/setReg's panic_if checks. RZ
+ * still reads 0 / discards writes.
  */
 
 inline uint32_t
@@ -123,11 +124,11 @@ logicEval(LogicOp op, bool a, bool b)
 }
 
 /*
- * The micro-op exec functions. Each mirrors its execAlu case
- * expression for expression (the differential tests assert
- * bit-identical results), with the operand facts the generic path
- * re-tests per warp instruction — bIsImm, useCC/setCC, signedness,
- * the LOP operation — burned in as template parameters.
+ * The micro-op exec functions: the simulator's one definition of
+ * each scalar ALU opcode, held to the host-side model in
+ * tests/simt/alu_property_test.cc. The operand facts that are fixed
+ * per instruction — bIsImm, useCC/setCC, signedness, the LOP
+ * operation — are burned in as template parameters.
  */
 
 void
@@ -495,6 +496,15 @@ uS2rUniform(const UopCtx &ctx, Warp &warp, const Instruction &ins,
 }
 
 void
+uS2rClock(const UopCtx &ctx, Warp &warp, const Instruction &ins,
+          uint32_t exec)
+{
+    const uint32_t v = static_cast<uint32_t>(*ctx.issued);
+    forLanes(warp, exec,
+             [&](int lane, uint32_t *regs) { wr(regs, lane, ins.dst, v); });
+}
+
+void
 uL2g(const UopCtx &ctx, Warp &warp, const Instruction &ins,
      uint32_t exec)
 {
@@ -509,27 +519,10 @@ uL2g(const UopCtx &ctx, Warp &warp, const Instruction &ins,
     });
 }
 
-/**
- * Select the specialized exec function for an ALU-class
- * instruction, or null when the op has no fast path: an opcode the
- * table doesn't cover, an S2R of %clock (whose value depends on the
- * exact per-instruction stats order the batched run changes), or a
- * register outside the kernel's budget (the generic path's bounds
- * check must produce the fault).
- */
+/** Select the specialized exec function for an ALU-class instruction. */
 AluFn
-pickAluFn(const ir::Kernel &kernel, const Instruction &ins)
+pickAluFn(const Instruction &ins)
 {
-    auto fits = [&](RegId r) {
-        return r == RZ || static_cast<int>(r) < kernel.numRegs;
-    };
-    for (RegId r : ins.dstRegs())
-        if (!fits(r))
-            return nullptr;
-    for (RegId r : ins.srcRegs())
-        if (!fits(r))
-            return nullptr;
-
     const bool bi = ins.bIsImm;
     switch (ins.op) {
       case Opcode::NOP:
@@ -586,7 +579,7 @@ pickAluFn(const ir::Kernel &kernel, const Instruction &ins)
             return bi ? uLop<true, LogicOp::Not>
                       : uLop<false, LogicOp::Not>;
         }
-        return nullptr;
+        break;
       case Opcode::POPC:
         return uPopc;
       case Opcode::FLO:
@@ -628,15 +621,52 @@ pickAluFn(const ir::Kernel &kernel, const Instruction &ins)
           case SpecialReg::LaneId:
             return uS2rLane;
           case SpecialReg::Clock:
-            return nullptr;
+            return uS2rClock;
           default:
             return uS2rUniform;
         }
       case Opcode::L2G:
         return uL2g;
       default:
-        return nullptr;
+        break;
     }
+    panic("no exec function for ALU-class %s",
+          std::string(opName(ins.op)).c_str());
+}
+
+/**
+ * The register budget check: every register an instruction names
+ * (srcRegs/dstRegs, so .64/.128 register groups and L2G's high half
+ * included) must be RZ or below numRegs, and a kernel with an ABI
+ * stack must keep its stack pointer in budget (runCta initializes R1
+ * of every lane). @return the first violation, or empty.
+ */
+std::string
+checkRegisterBudget(const ir::Kernel &kernel)
+{
+    if (!kernel.isShader && kernel.numRegs <= abi::StackPtr) {
+        return detail::strFormat(
+            "invalid kernel %s: register budget %d leaves no stack "
+            "pointer R%d at entry (pc 0)",
+            kernel.name.c_str(), kernel.numRegs, abi::StackPtr);
+    }
+    for (size_t pc = 0; pc < kernel.code.size(); ++pc) {
+        const Instruction &ins = kernel.code[pc];
+        for (const std::vector<RegId> &regs :
+             {ins.dstRegs(), ins.srcRegs()}) {
+            for (RegId r : regs) {
+                if (r == RZ || r < kernel.numRegs)
+                    continue;
+                return detail::strFormat(
+                    "invalid kernel %s: pc %zu (%s) names R%d, outside "
+                    "its register budget of %d",
+                    kernel.name.c_str(), pc,
+                    std::string(opName(ins.op)).c_str(), r,
+                    kernel.numRegs);
+            }
+        }
+    }
+    return {};
 }
 
 ExecClass
@@ -663,7 +693,10 @@ classify(const Instruction &ins)
 
 MicroProgram::MicroProgram(const ir::Kernel &kernel,
                            const UopConfig &cfg)
+    : error_(checkRegisterBudget(kernel))
 {
+    if (!error_.empty())
+        return;
     const size_t n = kernel.code.size();
     uops_.resize(n);
     for (size_t pc = 0; pc < n; ++pc) {
@@ -676,20 +709,18 @@ MicroProgram::MicroProgram(const ir::Kernel &kernel,
         else
             u.guard = GuardKind::PerLane;
         u.countsAsMem = ins.isMem();
-        // Spill/fill-tagged ops feed dedicated launch metrics the
-        // batched run path does not update, so they stay generic.
-        if (u.cls == ExecClass::Alu && !ins.spillFill) {
-            u.alu = pickAluFn(kernel, ins);
-            if (u.alu != nullptr)
-                u.simd = simd::pickSimdFn(kernel, ins);
+        if (u.cls == ExecClass::Alu) {
+            u.alu = pickAluFn(ins);
+            u.simd = simd::pickSimdFn(kernel, ins);
         }
     }
 
     // A clock read observes mid-launch issue counts, and batching
     // charges a sibling warp's whole run before the reader's next
     // round — so in a kernel that reads %clock anywhere, any
-    // batching at all could skew the value it sees. Rare enough to
-    // simply keep the whole kernel on per-instruction stepping.
+    // batching at all (superblocks and fused sites alike) could skew
+    // the value it sees. Rare enough to simply keep the whole kernel
+    // on per-instruction stepping.
     for (size_t i = 0; i < n; ++i) {
         const Instruction &ins = kernel.code[i];
         if (ins.op == Opcode::S2R &&
@@ -717,17 +748,19 @@ MicroProgram::MicroProgram(const ir::Kernel &kernel,
         }
     }
 
-    // Form superblocks: maximal runs of fast-path, unpredicated ALU
-    // micro-ops, never extending across a basic-block leader. Every
-    // point control flow can enter — the kernel entry, branch/SSY
-    // targets, and the instruction after any block terminator — is
-    // a leader, so a warp can only ever land on a run's head;
-    // mid-run pcs keep sb == 0 and fall back to generic stepping.
+    // Form superblocks: maximal runs of unpredicated ALU micro-ops,
+    // never extending across a basic-block leader. Every point
+    // control flow can enter — the kernel entry, branch/SSY targets,
+    // and the instruction after any block terminator — is a leader,
+    // so a warp can only ever land on a run's head; mid-run pcs keep
+    // sb == 0 and fall back to per-instruction stepping. Spill/fill-
+    // tagged ops feed dedicated launch metrics the batched run does
+    // not update, so they stay per-instruction too.
     auto runnable = [&](size_t pc) {
         const MicroOp &u = uops_[pc];
         return u.cls == ExecClass::Alu &&
-               u.guard == GuardKind::AlwaysOn && u.alu != nullptr &&
-               !fused[pc];
+               u.guard == GuardKind::AlwaysOn &&
+               !kernel.code[pc].spillFill && !fused[pc];
     };
     size_t pc = 0;
     while (pc < n) {

@@ -11,12 +11,20 @@
  * warp; this module compiles each kernel once into micro-ops that
  * exploit exactly that case:
  *
+ *  - Every kernel is checked once, before anything else: every
+ *    register an instruction names must be RZ or inside the
+ *    kernel's .regs budget, and a kernel with a stack keeps R1 in
+ *    it. A kernel that fails compiles to a program whose error()
+ *    the executor reports as Outcome::InvalidKernel before any CTA
+ *    runs; a kernel that passes never needs a register bounds check
+ *    at run time.
  *  - Every instruction becomes a MicroOp carrying its ExecClass,
  *    resolved guard kind, and — for ALU-class ops — a direct
  *    exec-function pointer specialized at compile time on the
  *    operand facts (immediate vs register srcB, CC use, signedness,
- *    logic op), so execution dispatches indirectly instead of
- *    re-switching per instruction and per lane.
+ *    logic op). These functions are the simulator's only definition
+ *    of the scalar ALU semantics: step() calls them under any exec
+ *    mask, superblock runs under the full active mask.
  *  - Maximal straight-line runs of unpredicated ALU micro-ops
  *    inside one basic block (leaders from sassir/cfg) become
  *    *superblocks*: the executor runs a whole superblock for a
@@ -34,8 +42,8 @@
  *    The cache key includes the UopConfig, so programs compiled
  *    with and without site fusing coexist.
  *
- * The generic step() path is kept byte-for-byte as the fallback
- * (and as the whole path when SASSI_SIM_SUPERBLOCKS=0 or
+ * The per-instruction step() path is the whole interpreter when
+ * SASSI_SIM_SUPERBLOCKS=0 (and handles every site when
  * SASSI_SIM_HANDLER_FASTPATH=0), so instrumentation sites,
  * divergence, faults, and statistics are observationally identical
  * with the fast paths on or off.
@@ -95,10 +103,11 @@ enum class GuardKind : uint8_t {
 };
 
 /**
- * Launch-invariant context a micro-op exec function may need beyond
- * the warp itself: the current CTA coordinates (S2R) and the
- * local-memory window geometry (L2G). Rebuilt per CTA by the
- * executor; everything else the fast path touches lives in Warp.
+ * Context a micro-op exec function may need beyond the warp itself:
+ * the current CTA coordinates (S2R), the local-memory window
+ * geometry (L2G), and the executing worker's live issue count
+ * (S2R %clock). Rebuilt per CTA by the executor; everything else an
+ * exec function touches lives in Warp.
  */
 struct UopCtx
 {
@@ -107,15 +116,19 @@ struct UopCtx
     Dim3 grid;
     uint64_t ctaLinear = 0;
     uint32_t localBytes = 0;
+
+    /** Warp instructions issued so far by this worker, the one
+     *  executing included (LaunchStats::warpInstrs). */
+    const uint64_t *issued = nullptr;
 };
 
 /**
  * Exec function of one ALU-class micro-op: applies the instruction
- * to every lane set in exec. Specialized per (opcode, operand
- * facts) at compile time; only ever invoked from inside a
- * superblock run, where the guard is statically @PT and all operand
- * registers are proven in budget, so implementations skip the
- * per-access bounds checks the generic path performs.
+ * to every lane set in exec (possibly none). Specialized per
+ * (opcode, operand facts) at compile time. Every register the
+ * instruction names was checked against the kernel's budget when
+ * the program was compiled, so implementations index the register
+ * file directly.
  */
 using AluFn = void (*)(const UopCtx &ctx, Warp &warp,
                        const sass::Instruction &ins, uint32_t exec);
@@ -123,7 +136,8 @@ using AluFn = void (*)(const UopCtx &ctx, Warp &warp,
 /** One flattened micro-op: statically resolved per-instruction facts. */
 struct MicroOp
 {
-    /** Direct exec function; null when the op has no fast path. */
+    /** Exec function of an ALU-class op; null for every other
+     *  class. */
     AluFn alu = nullptr;
 
     /** Lane-vectorized exec function (simt/simd/), same semantics
@@ -144,10 +158,10 @@ struct MicroOp
 };
 
 /**
- * A maximal straight-line run of unpredicated fast-path ALU
- * micro-ops within one basic block, with its statistics
- * contributions pre-aggregated so the executor charges them once
- * per run instead of once per instruction.
+ * A maximal straight-line run of unpredicated ALU micro-ops within
+ * one basic block, with its statistics contributions pre-aggregated
+ * so the executor charges them once per run instead of once per
+ * instruction.
  */
 struct Superblock
 {
@@ -175,6 +189,11 @@ class MicroProgram
 
     explicit MicroProgram(const ir::Kernel &kernel,
                           const UopConfig &cfg = {});
+
+    /** @return why the kernel cannot run (naming the kernel, the pc
+     *  and the register), or empty when it passed the register
+     *  budget check. A failing kernel compiles to no micro-ops. */
+    const std::string &error() const { return error_; }
 
     /** @return the micro-op at an instruction index. */
     const MicroOp &
@@ -221,6 +240,7 @@ class MicroProgram
     size_t siteRunInstrs() const;
 
   private:
+    std::string error_;
     std::vector<MicroOp> uops_;
     std::vector<Superblock> superblocks_;
     std::vector<SiteRun> site_runs_;

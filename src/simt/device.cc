@@ -17,6 +17,7 @@ outcomeName(Outcome o)
       case Outcome::InvalidPC: return "invalid-pc";
       case Outcome::Hang: return "hang";
       case Outcome::Trap: return "trap";
+      case Outcome::InvalidKernel: return "invalid-kernel";
     }
     return "?";
 }

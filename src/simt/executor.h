@@ -252,7 +252,6 @@ class Executor
      *  epilogue's register effects from the compiled template. */
     void completeSiteRun(Warp &warp);
 
-    void execAlu(Warp &warp, const sass::Instruction &ins, uint32_t exec);
     void execMem(Warp &warp, const sass::Instruction &ins, uint32_t exec);
     void execWarpOp(Warp &warp, const sass::Instruction &ins,
                     uint32_t exec);

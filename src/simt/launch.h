@@ -70,6 +70,7 @@ enum class Outcome {
     InvalidPC,  //!< Control transferred outside the kernel.
     Hang,       //!< Watchdog expired or barrier deadlock.
     Trap,       //!< BPT executed.
+    InvalidKernel, //!< Failed the decode-time check; no CTA ran.
 };
 
 /** @return a printable name for an outcome. */

@@ -96,8 +96,6 @@ SiteScanner::readSym(uint8_t r, Sym &out) const
         out.rel = r1rel_;
         return true;
     }
-    if (r >= k_.numRegs)
-        return false; // The generic path would panic; don't fuse.
     if (r >= TrackedRegs) {
         // High registers are never written by a bundle (scratch and
         // spill targets stay below 32), so their value is Orig.
@@ -113,8 +111,7 @@ SiteScanner::readSym(uint8_t r, Sym &out) const
 bool
 SiteScanner::writeSym(uint8_t r, const Sym &s)
 {
-    if (r == RZ || r == sass::abi::StackPtr || r >= TrackedRegs ||
-        r >= k_.numRegs)
+    if (r == RZ || r == sass::abi::StackPtr || r >= TrackedRegs)
         return false;
     syms_[r] = s;
     return true;
@@ -638,8 +635,9 @@ buildSlotGroups(SiteRun &run)
     // bake the maskstore operand, the lane-invariant row of Const
     // slots, and the load-or-splat plan for Reg/Const-only windows
     // (the SIMD tier then skips the per-kind dispatch entirely —
-    // the scanner guarantees Reg sources are within the register
-    // budget, so regIdx always names a live SoA span).
+    // site runs are only compiled for kernels that passed the
+    // register budget check, so regIdx always names a live SoA
+    // span).
     for (SiteSlotGroup &g : run.groups) {
         g.constOnly = true;
         g.regConst = true;

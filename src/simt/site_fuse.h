@@ -237,7 +237,8 @@ struct SiteRun
 /**
  * Scan a kernel for instrumentation-site bundles. leader must be
  * ir::blockLeaders(kernel); a bundle with a branch target strictly
- * inside it is rejected (control may enter mid-bundle).
+ * inside it is rejected (control may enter mid-bundle). The kernel
+ * must have passed MicroProgram's register budget check.
  *
  * @return recognized runs in ascending, non-overlapping start order.
  */

@@ -119,7 +119,12 @@ struct Warp
                static_cast<size_t>(r) * sass::WarpSize;
     }
 
-    /** Read general register r of a lane (RZ reads 0). */
+    /**
+     * Read general register r of a lane (RZ reads 0). A kernel's own
+     * register ids were checked against its budget at decode
+     * (MicroProgram::error); the check here guards ids a tool passes
+     * at run time (SASSIRegisterParams::SetRegValue).
+     */
     uint32_t
     reg(int lane, sass::RegId r) const
     {

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,6 +122,46 @@ TEST(CorpusReplay, CoverageSignaturesMatchCommittedBaseline)
             want = withoutSimdPlane(want);
         }
         EXPECT_EQ(got, want) << f;
+    }
+}
+
+TEST(CorpusReplay, LoweredRegisterBudgetFaultsUniformly)
+{
+    // A listing whose .regs no longer covers its registers is what
+    // `sassi_fuzz --replay` sees when the budget line is damaged:
+    // every configuration, instrumented ones included, must reject
+    // it as an invalid kernel, so the oracle reports a uniformly
+    // faulting program rather than a mismatch (or an abort).
+    const std::regex regs_line(R"(\.regs [0-9]+)");
+    OracleOptions opt;
+    opt.threadCounts = {1, 4};
+    for (const auto &f : listCorpus(SASSI_FUZZ_CORPUS_DIR)) {
+        std::ifstream in(f);
+        std::stringstream text;
+        text << in.rdbuf();
+        ASSERT_TRUE(std::regex_search(text.str(), regs_line)) << f;
+        // Down to 1, and to just short of the highest register
+        // written, which instrumentation (budget floor 18) leaves
+        // short in every committed listing.
+        const FuzzProgram orig = loadProgram(f);
+        int top = 0;
+        for (const auto &ins : orig.module.kernels[0].code)
+            for (auto r : ins.dstRegs())
+                if (r != sassi::sass::RZ)
+                    top = std::max(top, static_cast<int>(r));
+        ASSERT_GE(top, 18) << f;
+        for (const std::string lowered :
+             {std::string(".regs 1"), ".regs " + std::to_string(top)}) {
+            OracleReport r = runOracle(
+                parseProgram(std::regex_replace(text.str(), regs_line,
+                                                lowered)),
+                opt);
+            EXPECT_EQ(r.status, OracleStatus::InvalidProgram)
+                << f << " " << lowered << ": " << r.message;
+            EXPECT_NE(r.message.find("invalid-kernel: invalid kernel"),
+                      std::string::npos)
+                << f << " " << lowered << ": " << r.message;
+        }
     }
 }
 

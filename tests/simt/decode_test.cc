@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the micro-op compiler (simt/decode.h): superblock
- * formation respects basic-block leaders, predication, and the
- * fast-path eligibility rules; the process-wide UopCache shares
- * compiled programs by content fingerprint; and the launch-time
- * superblock switch resolves option > environment > default.
+ * Unit tests for the micro-op compiler (simt/decode.h): every
+ * ALU-class op gets an exec function; kernels naming registers
+ * outside their budget compile to an error; superblock formation
+ * respects basic-block leaders, predication, and the eligibility
+ * rules; the process-wide UopCache shares compiled programs by
+ * content fingerprint; and the launch-time superblock switch
+ * resolves option > environment > default.
  */
 
 #include <gtest/gtest.h>
@@ -69,7 +71,7 @@ TEST(MicroProgram, StraightLineFormsOneSuperblock)
         total += count;
     EXPECT_EQ(total, sb.len);
 
-    // Every run member has a fast function; EXIT does not.
+    // Every run member has an exec function; EXIT does not.
     for (uint32_t pc = 0; pc < 4; ++pc) {
         EXPECT_EQ(prog.at(pc).cls, ExecClass::Alu);
         EXPECT_EQ(prog.at(pc).guard, GuardKind::AlwaysOn);
@@ -179,18 +181,21 @@ TEST(MicroProgram, ClassificationAndMemFlag)
 
 TEST(MicroProgram, ClockReadHasNoFastPath)
 {
-    // S2R %clock observes mid-launch statistics, so batching it into
-    // a superblock would change its value: it must stay generic.
+    // S2R %clock observes mid-launch statistics, so batching any run
+    // of a kernel that reads it could change the value: the read
+    // has an exec function like every ALU op, but the kernel forms
+    // no superblocks.
     KernelBuilder kb("clocked");
     kb.mov32i(4, 1);
     kb.s2r(5, SpecialReg::Clock);
     kb.iadd(6, 4, 4);
+    kb.iadd(7, 6, 4);
     kb.exit();
     ir::Kernel k = kb.finish();
 
     MicroProgram prog(k);
     EXPECT_EQ(prog.at(1).cls, ExecClass::Alu);
-    EXPECT_EQ(prog.at(1).alu, nullptr);
+    EXPECT_NE(prog.at(1).alu, nullptr);
     EXPECT_TRUE(prog.superblocks().empty());
 
     // A plain S2R, by contrast, is fast-path eligible.
@@ -202,6 +207,82 @@ TEST(MicroProgram, ClockReadHasNoFastPath)
     EXPECT_NE(prog2.at(0).alu, nullptr);
     ASSERT_EQ(prog2.superblocks().size(), 1u);
     EXPECT_EQ(prog2.superblock(1).len, 2u);
+}
+
+TEST(MicroProgram, SpillTaggedAluOpFormsNoSuperblock)
+{
+    // Spill/fill-tagged ops feed metrics the batched run does not
+    // update: the tagged op keeps its exec function but splits the
+    // run around it.
+    KernelBuilder kb("spilled");
+    kb.mov32i(4, 1);
+    kb.iadd(5, 4, 4); // Tagged below.
+    kb.iadd(6, 5, 4);
+    kb.iadd(7, 6, 5);
+    kb.exit();
+    ir::Kernel k = kb.finish();
+    k.code[1].spillFill = true;
+
+    MicroProgram prog(k);
+    EXPECT_EQ(prog.at(1).cls, ExecClass::Alu);
+    EXPECT_NE(prog.at(1).alu, nullptr);
+    ASSERT_EQ(prog.superblocks().size(), 1u);
+    EXPECT_EQ(prog.superblock(1).start, 2u);
+    EXPECT_EQ(prog.superblock(1).len, 2u);
+}
+
+TEST(MicroProgram, EveryAluClassOpHasAnExecFunction)
+{
+    // Sweep every opcode over the operand facts exec functions are
+    // specialized on; whatever classifies as ALU must be executable.
+    ir::Kernel k;
+    k.name = "every_op";
+    for (int op = 0; op < NumOpcodes; ++op) {
+        for (int v = 0; v < 16; ++v) {
+            Instruction ins;
+            ins.op = static_cast<Opcode>(op);
+            ins.bIsImm = v & 1;
+            ins.useCC = v & 2;
+            ins.setCC = v & 4;
+            ins.sExt = v & 8;
+            ins.cmp = static_cast<CmpOp>(v % 6);
+            ins.logic = static_cast<LogicOp>(v % 5);
+            ins.mufu = static_cast<MufuOp>(v % 7);
+            ins.sreg = static_cast<SpecialReg>(v % 15);
+            k.code.push_back(ins);
+        }
+    }
+    k.code.push_back(Instruction{});
+    k.code.back().op = Opcode::EXIT;
+
+    MicroProgram prog(k);
+    ASSERT_TRUE(prog.error().empty()) << prog.error();
+    size_t alu = 0;
+    for (uint32_t pc = 0; pc < prog.size(); ++pc) {
+        if (prog.at(pc).cls != ExecClass::Alu)
+            continue;
+        ++alu;
+        EXPECT_NE(prog.at(pc).alu, nullptr)
+            << opName(k.code[pc].op) << " at pc " << pc;
+    }
+    EXPECT_GT(alu, 0u);
+}
+
+TEST(MicroProgram, OutOfBudgetRegisterIsAnError)
+{
+    ir::Kernel k = straightKernel("over_budget");
+    EXPECT_TRUE(MicroProgram(k).error().empty());
+
+    // straightKernel writes R7 at pc 3.
+    k.numRegs = 7;
+    MicroProgram prog(k);
+    EXPECT_NE(prog.error().find("kernel over_budget"), std::string::npos)
+        << prog.error();
+    EXPECT_NE(prog.error().find("pc 3 (LOP) names R7,"),
+              std::string::npos)
+        << prog.error();
+    EXPECT_EQ(prog.size(), 0u);
+    EXPECT_TRUE(prog.superblocks().empty());
 }
 
 TEST(UopCache, HitSharesCompiledProgram)

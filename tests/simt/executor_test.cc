@@ -696,4 +696,32 @@ TEST(Executor, BranchToOnePastEndFaultsAtTheBranch)
     EXPECT_NE(r.message.find("pc 0"), std::string::npos) << r.message;
 }
 
+TEST(Executor, SsyAndJcalToInvalidTargetsFaultWithTheirPc)
+{
+    // The SSY and JCAL target faults name the kernel, the pc and the
+    // bad target, as the branch fault does.
+    for (Opcode op : {Opcode::SSY, Opcode::JCAL}) {
+        KernelBuilder kb("badtarget");
+        Label l = kb.newLabel();
+        kb.mov32i(4, 1);
+        if (op == Opcode::SSY)
+            kb.ssy(l);
+        else
+            kb.jcal(l);
+        kb.bind(l);
+        kb.exit();
+        ir::Kernel k = kb.finish();
+        k.code[1].target = 99;
+        Device dev;
+        loadKernel(dev, std::move(k));
+        LaunchResult r =
+            dev.launch("badtarget", Dim3(1), Dim3(32), KernelArgs());
+        EXPECT_EQ(r.outcome, Outcome::InvalidPC);
+        const std::string want =
+            std::string(opName(op)) +
+            " to invalid target 99 (kernel badtarget, pc 1)";
+        EXPECT_NE(r.message.find(want), std::string::npos) << r.message;
+    }
+}
+
 } // namespace

@@ -139,10 +139,10 @@ replay(const std::vector<std::string> &files,
                     report.coverage.describe().c_str());
         signatures += std::filesystem::path(f).filename().string() +
                       " " + report.coverage.describe() + "\n";
-        if (report.status == OracleStatus::Mismatch) {
+        if (report.status != OracleStatus::Pass)
             std::printf("%s\n", report.message.c_str());
+        if (report.status == OracleStatus::Mismatch)
             ++failures;
-        }
     }
     if (!coverageOut.empty())
         writeFile(coverageOut, signatures);
