@@ -1,21 +1,21 @@
 /**
  * @file
  * Interpreter hot-path microbenchmark: measures warp-instruction
- * throughput with the superblock micro-op fast path off vs on
- * (LaunchOptions::superblocks, see simt/decode.h) on three kernel
+ * throughput in the generic mode vs the default one
+ * (LaunchOptions::exec, see simt::ExecMode) on three kernel
  * shapes — ALU-heavy (long straight-line runs, the case the fast
  * path targets), branch-heavy (short blocks, the fast path mostly
  * disengaged), and the ALU-heavy kernel instrumented with the
  * Figure 3 instruction counter (JCAL sites chop every run). Results
  * merge-write the "interp" section of BENCH_simt.json. A second
- * sweep holds superblocks on and toggles the SIMD lane-vectorized
- * tier (LaunchOptions::simd) to isolate its contribution, writing
- * the "interp_simd" section with a simd=0 control row per kernel.
+ * sweep runs the fused mode with and without the SIMD
+ * lane-vectorized tier to isolate its contribution, writing the
+ * "interp_simd" section with a simd=0 control row per kernel.
  *
  * --smoke runs a short differential pass instead: every kernel is
- * executed with the generic interpreter, superblocks, and
- * superblocks + compiled-handler fast path, and the LaunchStats and
- * metrics registry must match bit for bit (exit 1 otherwise).
+ * executed in every mode of kExecModes, and the LaunchStats and
+ * metrics registry must match the generic mode's bit for bit (exit
+ * 1 otherwise).
  * --slowdown-gate measures the 8-worker instrumented alu_heavy
  * slowdown and fails when it exceeds SASSI_BENCH_MAX_SLOWDOWN.
  * --scaling-gate measures the 8-worker speedup of a plain
@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -181,14 +182,11 @@ prepare(const Bench &b, int iters)
 }
 
 LaunchResult
-launchOnce(Setup &s, int superblocks, int fastpath = -1,
-           int threads = 1, int ctas = Ctas, int simd = -1)
+launchOnce(Setup &s, ExecMode mode, int threads = 1, int ctas = Ctas)
 {
     LaunchOptions opts;
     opts.numThreads = threads;
-    opts.superblocks = superblocks;
-    opts.handlerFastpath = fastpath;
-    opts.simd = simd;
+    opts.exec = mode;
     return s.dev->launch(s.kernel, Dim3(ctas), Dim3(Block),
                          KernelArgs(), opts);
 }
@@ -198,10 +196,11 @@ launchOnce(Setup &s, int superblocks, int fastpath = -1,
 double
 perLaunchSecs(Setup &s, int threads, int ctas, int launches = 3)
 {
-    launchOnce(s, 1, -1, threads, ctas); // Warm pool + uop cache.
+    // Warm pool + uop cache.
+    launchOnce(s, kDefaultExecMode, threads, ctas);
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < launches; ++i) {
-        auto r = launchOnce(s, 1, -1, threads, ctas);
+        auto r = launchOnce(s, kDefaultExecMode, threads, ctas);
         if (!r.ok()) {
             std::fprintf(stderr, "%s: launch failed: %s\n",
                          s.kernel.c_str(), r.message.c_str());
@@ -222,15 +221,15 @@ struct Rate
 };
 
 Rate
-measure(Setup &s, int superblocks, double min_secs, int simd = -1)
+measure(Setup &s, ExecMode mode, double min_secs)
 {
     // Warm caches and the worker pool.
-    launchOnce(s, superblocks, -1, 1, Ctas, simd);
+    launchOnce(s, mode);
     Rate rate;
     uint64_t instrs = 0;
     auto t0 = std::chrono::steady_clock::now();
     do {
-        auto r = launchOnce(s, superblocks, -1, 1, Ctas, simd);
+        auto r = launchOnce(s, mode);
         if (!r.ok()) {
             std::fprintf(stderr, "%s: launch failed: %s\n",
                          s.kernel.c_str(), r.message.c_str());
@@ -246,25 +245,20 @@ measure(Setup &s, int superblocks, double min_secs, int simd = -1)
     return rate;
 }
 
-/** --smoke: every dispatch mode must produce bit-identical
- *  observables: generic, superblocks, superblocks + compiled
- *  handlers. */
+/** --smoke: every dispatch mode must produce observables
+ *  bit-identical to the generic (first) mode's. */
 int
 runSmoke()
 {
-    // (superblocks, handlerFastpath) per mode; mode 0 is the
-    // reference generic interpreter.
-    constexpr struct { int sb, fp; } kModes[] = {
-        {0, 0}, {1, 0}, {1, 1}};
     int failures = 0;
     for (const Bench &b : kBenches) {
-        LaunchResult r[3];
-        for (int mode = 0; mode < 3; ++mode) {
+        LaunchResult r[std::size(kExecModes)];
+        for (size_t mode = 0; mode < std::size(kExecModes); ++mode) {
             Setup s = prepare(b, 64);
-            r[mode] = launchOnce(s, kModes[mode].sb, kModes[mode].fp);
+            r[mode] = launchOnce(s, kExecModes[mode]);
         }
         bool same = true;
-        for (int mode = 1; mode < 3; ++mode) {
+        for (size_t mode = 1; mode < std::size(kExecModes); ++mode) {
             const LaunchResult &r0 = r[0];
             const LaunchResult &r1 = r[mode];
             same = same && r0.outcome == r1.outcome &&
@@ -420,8 +414,8 @@ main(int argc, char **argv)
     bench::BenchJson json("interp");
     for (const Bench &b : kBenches) {
         Setup s = prepare(b, iters);
-        Rate off = measure(s, 0, min_secs);
-        Rate on = measure(s, 1, min_secs);
+        Rate off = measure(s, ExecMode::Generic, min_secs);
+        Rate on = measure(s, kDefaultExecMode, min_secs);
         double speedup = off.instrsPerSec > 0
                              ? on.instrsPerSec / off.instrsPerSec
                              : 0;
@@ -446,23 +440,7 @@ main(int argc, char **argv)
         if (b.instrumented) {
             // Isolate the compiled-handler contribution: superblocks
             // on but sites forced back onto the fiber path.
-            launchOnce(s, 1, 0);
-            Rate fiber;
-            {
-                uint64_t instrs = 0;
-                auto t0 = std::chrono::steady_clock::now();
-                do {
-                    auto r = launchOnce(s, 1, 0);
-                    instrs += r.stats.warpInstrs;
-                    ++fiber.launches;
-                    fiber.secs =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-                } while (fiber.secs < min_secs);
-                fiber.instrsPerSec =
-                    static_cast<double>(instrs) / fiber.secs;
-            }
+            Rate fiber = measure(s, ExecMode::SuperblockSimd, min_secs);
             std::printf("%-24s sb on, handler fastpath off "
                         "%8.2f Mwi/s\n",
                         b.name, fiber.instrsPerSec / 1e6);
@@ -478,7 +456,7 @@ main(int argc, char **argv)
         }
     }
 
-    // SIMD-tier contribution: superblocks pinned on, the
+    // SIMD-tier contribution: the fused mode with the
     // lane-vectorized exec functions off vs on. The simd=0 rows are
     // the control; on hosts without AVX2 both modes run the scalar
     // tier and the speedup reads ~1.0x.
@@ -488,8 +466,8 @@ main(int argc, char **argv)
     bench::BenchJson simd_json("interp_simd");
     for (const Bench &b : kBenches) {
         Setup s = prepare(b, iters);
-        Rate off = measure(s, 1, min_secs, 0);
-        Rate on = measure(s, 1, min_secs, 1);
+        Rate off = measure(s, ExecMode::Fused, min_secs);
+        Rate on = measure(s, ExecMode::FusedSimd, min_secs);
         double speedup = off.instrsPerSec > 0
                              ? on.instrsPerSec / off.instrsPerSec
                              : 0;

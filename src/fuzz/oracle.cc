@@ -1,6 +1,7 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -162,9 +163,10 @@ std::string
 OracleConfig::describe() const
 {
     std::ostringstream out;
+    const ExecConfig c = execConfigOf(mode);
     out << "tool=" << toolName(tool) << " threads=" << threads
-        << " superblocks=" << superblocks
-        << " fastpath=" << handlerFastpath << " simd=" << simd;
+        << " superblocks=" << c.superblocks
+        << " fastpath=" << c.fuseSites << " simd=" << c.simd;
     return out.str();
 }
 
@@ -199,10 +201,10 @@ OracleReport::bucket() const
     if (status != OracleStatus::Mismatch)
         return {};
     std::ostringstream out;
+    const ExecConfig c = execConfigOf(badConfig.mode);
     out << mismatchKindName(kind) << ':' << toolName(badConfig.tool)
-        << ":sb=" << badConfig.superblocks
-        << ":fp=" << badConfig.handlerFastpath
-        << ":sd=" << badConfig.simd;
+        << ":sb=" << c.superblocks << ":fp=" << c.fuseSites
+        << ":sd=" << c.simd;
     return out.str();
 }
 
@@ -251,9 +253,7 @@ runConfig(const FuzzProgram &p, const OracleConfig &cfg,
     args.addU64(acc);
     LaunchOptions lopts;
     lopts.numThreads = cfg.threads;
-    lopts.superblocks = cfg.superblocks;
-    lopts.handlerFastpath = cfg.handlerFastpath;
-    lopts.simd = cfg.simd;
+    lopts.exec = cfg.mode;
     lopts.watchdog = opt.watchdog;
     LaunchResult r =
         dev.launch(p.kernelName, Dim3(p.gridX), Dim3(p.blockX), args,
@@ -293,14 +293,7 @@ runOracle(const FuzzProgram &p, const OracleOptions &opt)
             tools.push_back(static_cast<ToolKind>(t));
     }
 
-    // Dispatch modes: superblocks off, on (scalar and SIMD uop
-    // tiers), and on with the compiled-handler fast path (again
-    // both tiers). Fast path or SIMD without superblocks are not
-    // distinct modes — fused sites and the vector tier both live
-    // under the superblock executor, so the flags are ignored there.
-    static constexpr struct { int sb, fp, sd; } kModes[] = {
-        {0, 0, 0}, {1, 0, 0}, {1, 0, 1}, {1, 1, 0}, {1, 1, 1}};
-    constexpr int kNumModes = 5;
+    constexpr size_t kNumModes = std::size(kExecModes);
 
     report.coverage = staticSignature(p);
     auto observe = [&](const RunObservation &obs) {
@@ -309,8 +302,8 @@ runOracle(const FuzzProgram &p, const OracleOptions &opt)
             std::max(report.coverage.maxDivDepth, obs.maxDivDepth);
     };
 
-    OracleConfig base{ToolKind::None, opt.threadCounts.front(), 0, 0,
-                      0};
+    OracleConfig base{ToolKind::None, opt.threadCounts.front(),
+                      kExecModes[0]};
     RunObservation ref = runConfig(p, base, opt);
     ++report.configsRun;
     observe(ref);
@@ -335,17 +328,12 @@ runOracle(const FuzzProgram &p, const OracleOptions &opt)
         std::string serialToolKey[kNumModes];
         bool haveSerialKey[kNumModes] = {};
 
-        for (int mode = 0; mode < kNumModes; ++mode) {
-            const int sb = kModes[mode].sb;
-            const int fp = kModes[mode].fp;
-            const int sd = kModes[mode].sd;
+        for (size_t mode = 0; mode < kNumModes; ++mode) {
             for (int threads : opt.threadCounts) {
-                OracleConfig cfg{t, threads, sb, fp, sd};
+                OracleConfig cfg{t, threads, kExecModes[mode]};
                 RunObservation obs;
                 if (t == base.tool && threads == base.threads &&
-                    sb == base.superblocks &&
-                    fp == base.handlerFastpath &&
-                    sd == base.simd) {
+                    cfg.mode == base.mode) {
                     obs = ref;
                 } else {
                     obs = runConfig(p, cfg, opt);
@@ -414,11 +402,10 @@ runOracle(const FuzzProgram &p, const OracleOptions &opt)
                 }
             }
         }
-        for (int mode = 1; mode < kNumModes; ++mode) {
+        for (size_t mode = 1; mode < kNumModes; ++mode) {
             if (haveSerialKey[0] && haveSerialKey[mode] &&
                 serialToolKey[0] != serialToolKey[mode]) {
-                OracleConfig cfg{t, 1, kModes[mode].sb,
-                                 kModes[mode].fp, kModes[mode].sd};
+                OracleConfig cfg{t, 1, kExecModes[mode]};
                 mismatch(MismatchKind::ToolAggregate, cfg,
                          "tool aggregate (vs superblocks=0 "
                          "fastpath=0 simd=0)",

@@ -5,19 +5,19 @@
  * A generated program's architectural output is, by construction
  * (generator.h), a pure function of the program text. The oracle
  * exploits that: it runs the program across the full configuration
- * matrix — {superblocks off, on} x {compiled-handler fast path off,
- * on} x {worker threads 1, 2, 8} x {uninstrumented, each
- * instrumentation tool} — and demands that
+ * matrix — {every simt::ExecMode in simt::kExecModes} x {worker
+ * threads 1, 2, 8} x {uninstrumented, each instrumentation tool} —
+ * and demands that
  * every observable which should be invariant actually is:
  *
  *  - final output/accumulator memory digest: identical everywhere;
  *  - launch outcome: identical everywhere (a program that faults
  *    must fault the same way in every configuration);
  *  - LaunchStats and the metrics registry: identical within one
- *    tool across thread counts and superblock modes (both are
- *    documented thread-count-invariant, and the superblock fast
- *    path is observationally equivalent by contract);
- *  - tool aggregates: identical across superblock modes at one
+ *    tool across thread counts and dispatch modes (both are
+ *    documented thread-count-invariant, and every dispatch mode is
+ *    observationally equivalent to the generic one by contract);
+ *  - tool aggregates: identical across dispatch modes at one
  *    worker thread (MemTracer order and ValueProfiler values are
  *    legitimately thread-count-dependent, so cross-thread-count
  *    comparison would false-positive).
@@ -64,21 +64,15 @@ struct OracleConfig
 {
     ToolKind tool = ToolKind::None;
     int threads = 1;
-    int superblocks = 0;
 
-    /** Compiled-handler fast path (fused instrumentation sites).
-     *  Only meaningful with superblocks on — the fused sites live in
-     *  the same micro-program variant. */
-    int handlerFastpath = 0;
-
-    /** SIMD interpreter tier (lane-vectorized superblock uops).
-     *  Only meaningful with superblocks on; on a host without AVX2
-     *  the scalar tier runs either way, so the dimension collapses
+    /** Dispatch mode. On a host without AVX2 the SIMD modes run the
+     *  scalar tier, so those cells repeat their scalar twins
      *  harmlessly. */
-    int simd = 0;
+    simt::ExecMode mode = simt::ExecMode::Generic;
 
     /** @return e.g.\ "tool=instr_counter threads=8 superblocks=1
-     *  fastpath=1 simd=1". */
+     *  fastpath=1 simd=1" (the mode's switches, see
+     *  simt::execConfigOf). */
     std::string describe() const;
 };
 

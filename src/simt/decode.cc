@@ -691,8 +691,7 @@ classify(const Instruction &ins)
 
 } // namespace
 
-MicroProgram::MicroProgram(const ir::Kernel &kernel,
-                           const UopConfig &cfg)
+MicroProgram::MicroProgram(const ir::Kernel &kernel, bool fuseSites)
     : error_(checkRegisterBudget(kernel))
 {
     if (!error_.empty())
@@ -735,7 +734,7 @@ MicroProgram::MicroProgram(const ir::Kernel &kernel,
     // site is always entered through its head micro-op in step()
     // (never from inside a batched superblock run).
     std::vector<uint8_t> fused(n, 0);
-    if (cfg.fuseSites) {
+    if (fuseSites) {
         site_runs_ = compileSiteRuns(kernel, leader);
         if (site_runs_.size() > 0xfffe)
             site_runs_.resize(0xfffe); // uint16 id space; ample.
@@ -876,12 +875,12 @@ UopCache::fingerprint(const ir::Kernel &kernel)
 }
 
 std::shared_ptr<const MicroProgram>
-UopCache::get(const ir::Kernel &kernel, const UopConfig &cfg)
+UopCache::get(const ir::Kernel &kernel, bool fuseSites)
 {
-    // Salt the content print with the configuration so programs
+    // Salt the content print with the fused-sites bit so programs
     // compiled with and without site fusing coexist in the cache.
     uint64_t key = fingerprint(kernel);
-    if (cfg.fuseSites)
+    if (fuseSites)
         key ^= 0x9e3779b97f4a7c15ull;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -894,7 +893,7 @@ UopCache::get(const ir::Kernel &kernel, const UopConfig &cfg)
     // Compile outside the lock: programs are pure functions of the
     // kernel, so two threads racing on the same key just do the
     // work twice and the loser's copy is dropped.
-    auto prog = std::make_shared<const MicroProgram>(kernel, cfg);
+    auto prog = std::make_shared<const MicroProgram>(kernel, fuseSites);
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] =
         entries_.emplace(key, Entry{kernel.name, prog});
@@ -1005,34 +1004,27 @@ UopCache::size() const
     return entries_.size();
 }
 
-bool
-resolveSuperblocks(int requested)
+ExecConfig
+resolveExecConfig(std::optional<ExecMode> requested)
 {
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("SASSI_SIM_SUPERBLOCKS"))
-        return std::atoi(env) != 0;
-    return true;
-}
-
-bool
-resolveHandlerFastpath(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("SASSI_SIM_HANDLER_FASTPATH"))
-        return std::atoi(env) != 0;
-    return true;
-}
-
-bool
-resolveSimd(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("SASSI_SIM_SIMD"))
-        return std::atoi(env) != 0;
-    return true;
+    const char *env = requested ? nullptr : std::getenv("SASSI_SIM_EXEC");
+    if (env && *env) {
+        requested = parseExecMode(env);
+        static std::once_flag warned;
+        if (!requested)
+            std::call_once(warned, [env] {
+                std::string names;
+                for (ExecMode m : kExecModes)
+                    names += std::string(names.empty() ? "" : ", ") +
+                             execModeName(m);
+                warn("ignoring unknown SASSI_SIM_EXEC value '%s' "
+                     "(accepted: %s); running %s",
+                     env, names.c_str(), execModeName(kDefaultExecMode));
+            });
+    }
+    ExecConfig cfg = execConfigOf(requested.value_or(kDefaultExecMode));
+    cfg.simd = cfg.simd && simd::cpuHasAvx2();
+    return cfg;
 }
 
 } // namespace sassi::simt

@@ -39,14 +39,14 @@
  *    process-wide thread-safe registry (UopCache), shared across
  *    launches and CTA-worker shards, with compile/hit counters and
  *    superblock-length histograms published through util/metrics.
- *    The cache key includes the UopConfig, so programs compiled
- *    with and without site fusing coexist.
+ *    The cache key includes the fused-sites bit, so programs
+ *    compiled with and without site fusing coexist.
  *
- * The per-instruction step() path is the whole interpreter when
- * SASSI_SIM_SUPERBLOCKS=0 (and handles every site when
- * SASSI_SIM_HANDLER_FASTPATH=0), so instrumentation sites,
+ * The per-instruction step() path is the whole interpreter in
+ * ExecMode::Generic (SASSI_SIM_EXEC=generic) and handles every site
+ * in the modes without fused sites, so instrumentation sites,
  * divergence, faults, and statistics are observationally identical
- * with the fast paths on or off.
+ * in every ExecMode (simt/launch.h).
  */
 
 #ifndef SASSI_SIMT_DECODE_H
@@ -63,22 +63,13 @@
 
 #include "sassir/module.h"
 #include "simt/dim3.h"
+#include "simt/launch.h"
 #include "simt/site_fuse.h"
 #include "util/metrics.h"
 
 namespace sassi::simt {
 
 struct Warp;
-
-/**
- * Compile-time switches a MicroProgram is specialized on. Part of
- * the UopCache key, so differently configured programs coexist.
- */
-struct UopConfig
-{
-    /** Compile instrumentation-site bundles into SiteRuns. */
-    bool fuseSites = false;
-};
 
 /** Top-level dispatch class of an instruction in step(). */
 enum class ExecClass : uint8_t {
@@ -143,7 +134,8 @@ struct MicroOp
     /** Lane-vectorized exec function (simt/simd/), same semantics
      *  as alu; null when the op stays on the scalar tier. Which of
      *  the two a superblock run calls is a per-launch decision
-     *  (resolveSimd), so programs are shared across simd on/off. */
+     *  (resolveExecConfig), so programs are shared across the SIMD
+     *  and scalar modes. */
     AluFn simd = nullptr;
 
     ExecClass cls = ExecClass::Alu;
@@ -187,8 +179,10 @@ class MicroProgram
     /** Shortest instruction run worth forming a superblock for. */
     static constexpr uint32_t MinSuperblockLen = 2;
 
+    /** Compile a kernel; `fuseSites` also compiles its
+     *  instrumentation-site bundles into SiteRuns. */
     explicit MicroProgram(const ir::Kernel &kernel,
-                          const UopConfig &cfg = {});
+                          bool fuseSites = false);
 
     /** @return why the kernel cannot run (naming the kernel, the pc
      *  and the register), or empty when it passed the register
@@ -260,9 +254,10 @@ class UopCache
     /** The process-wide cache instance. */
     static UopCache &global();
 
-    /** Look up (or compile and insert) a kernel's micro-program. */
+    /** Look up (or compile and insert) a kernel's micro-program,
+     *  with or without fused sites. */
     std::shared_ptr<const MicroProgram> get(const ir::Kernel &kernel,
-                                            const UopConfig &cfg = {});
+                                            bool fuseSites = false);
 
     /** Drop every entry compiled from a kernel with this name.
      *  Called when a pass rewrites a kernel in place; lookups would
@@ -299,7 +294,7 @@ class UopCache
     size_t size() const;
 
     /** Content fingerprint a kernel is cached under (the final key
-     *  additionally mixes in the UopConfig). */
+     *  additionally mixes in the fused-sites bit). */
     static uint64_t fingerprint(const ir::Kernel &kernel);
 
   private:
@@ -315,31 +310,14 @@ class UopCache
 };
 
 /**
- * Resolve the superblock switch for one launch: a non-negative
- * LaunchOptions::superblocks wins; otherwise the
- * SASSI_SIM_SUPERBLOCKS environment variable ("0" disables);
- * otherwise on.
+ * Resolve one launch's dispatch mode into the switches the executor
+ * runs with: a set LaunchOptions::exec wins; otherwise the
+ * SASSI_SIM_EXEC environment variable when it names a mode (an
+ * unknown name is reported once on stderr, with the accepted names,
+ * and ignored); otherwise kDefaultExecMode. SIMD additionally
+ * requires simd::cpuHasAvx2().
  */
-bool resolveSuperblocks(int requested);
-
-/**
- * Resolve the compiled-handler fast-path switch for one launch: a
- * non-negative LaunchOptions::handlerFastpath wins; otherwise the
- * SASSI_SIM_HANDLER_FASTPATH environment variable ("0" disables);
- * otherwise on. The fast path additionally requires superblocks to
- * be enabled (superblocks off selects the fully generic
- * interpreter, fused sites included).
- */
-bool resolveHandlerFastpath(int requested);
-
-/**
- * Resolve the SIMD-tier switch for one launch: a non-negative
- * LaunchOptions::simd wins; otherwise the SASSI_SIM_SIMD
- * environment variable ("0" disables); otherwise on. The caller
- * additionally requires superblocks (the SIMD tier runs under the
- * superblock executor) and simd::cpuHasAvx2().
- */
-bool resolveSimd(int requested);
+ExecConfig resolveExecConfig(std::optional<ExecMode> requested);
 
 } // namespace sassi::simt
 

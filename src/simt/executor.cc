@@ -84,16 +84,9 @@ Executor::fault(Outcome outcome, const std::string &message) const
 LaunchResult
 Executor::run()
 {
-    superblocks_on_ = resolveSuperblocks(opts_.superblocks);
-    handler_fastpath_on_ =
-        superblocks_on_ && resolveHandlerFastpath(opts_.handlerFastpath);
-    simd_on_ = superblocks_on_ && resolveSimd(opts_.simd) &&
-               simd::cpuHasAvx2();
-    if (!prog_) {
-        UopConfig cfg;
-        cfg.fuseSites = handler_fastpath_on_;
-        prog_ = UopCache::global().get(kernel_, cfg);
-    }
+    exec_ = resolveExecConfig(opts_.exec);
+    if (!prog_)
+        prog_ = UopCache::global().get(kernel_, exec_.fuseSites);
     if (!prog_->error().empty()) {
         LaunchResult result;
         result.outcome = Outcome::InvalidKernel;
@@ -146,9 +139,7 @@ Executor::run()
         shards.emplace_back(std::make_unique<Executor>(
             dev_, kernel_, grid_, block_, params_, opts_));
         shards.back()->prog_ = prog_;
-        shards.back()->superblocks_on_ = superblocks_on_;
-        shards.back()->handler_fastpath_on_ = handler_fastpath_on_;
-        shards.back()->simd_on_ = simd_on_;
+        shards.back()->exec_ = exec_;
         shards.back()->fault_bound_ = &fault_bound;
     }
     std::vector<ChunkOutcome> chunks_out(sched.chunkCount());
@@ -718,7 +709,7 @@ Executor::execSuperblock(Warp &warp, const Superblock &sb)
     const uint32_t len = sb.len;
     const uint32_t start = sb.start;
     const Instruction *code = kernel_.code.data();
-    if (simd_on_) {
+    if (exec_.simd) {
         // Vectorized tier: each uop runs for all 32 lanes at once
         // when it has a SIMD exec function, and falls back to its
         // scalar function (same semantics) when it doesn't.
@@ -850,10 +841,10 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
     // time, then one transposed (masked) 256-bit store per lane per
     // 8-slot frame window (simt/simd/site_frame.cc). Returns false
     // when compiled out; the scalar store-major loop below is the
-    // fallback and the simd=0 reference the differential suites
-    // compare against.
+    // fallback and the ExecMode::Fused reference the differential
+    // suites compare against.
     bool frames_vectored = false;
-    if (simd_on_) {
+    if (exec_.simd) {
         simd::SiteFrameCtx fctx;
         fctx.run = &run;
         fctx.warp = &warp;
@@ -1224,7 +1215,7 @@ Executor::step(Warp &warp)
     // handler call were compiled into a frame template at decode
     // time. enterSiteRun falls back (returning false) when the site
     // must take the generic path below.
-    if (dec.site != 0 && handler_fastpath_on_ &&
+    if (dec.site != 0 && exec_.fuseSites &&
         enterSiteRun(warp, dec.site))
         return;
 
@@ -1233,7 +1224,7 @@ Executor::step(Warp &warp)
     // when the whole run no longer fits in the watchdog budget, so
     // a hang faults at the exact instruction — with the exact
     // message — the per-instruction path would report.
-    if (dec.sb != 0 && superblocks_on_) {
+    if (dec.sb != 0 && exec_.superblocks) {
         const Superblock &sb = prog_->superblock(dec.sb);
         if (watchdog_count_ + sb.len <= opts_.watchdog) {
             execSuperblock(warp, sb);

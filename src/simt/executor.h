@@ -286,19 +286,10 @@ class Executor
     // read-only with its shards.
     std::shared_ptr<const MicroProgram> prog_;
 
-    // Whether this launch takes the superblock fast path; resolved
-    // once per launch from opts_.superblocks / the environment.
-    bool superblocks_on_ = true;
-
-    // Whether this launch takes the compiled-handler fast path;
-    // requires superblocks (site runs are compiled into the same
-    // micro-program variant).
-    bool handler_fastpath_on_ = false;
-
-    // Whether superblock runs call the lane-vectorized exec
-    // functions (simt/simd/); requires superblocks, resolveSimd,
-    // and AVX2 on this machine.
-    bool simd_on_ = false;
+    // This launch's dispatch switches: resolved once per launch
+    // from opts_.exec / SASSI_SIM_EXEC by the coordinating executor
+    // and copied to its shards.
+    ExecConfig exec_;
 
     // Dynamic compiled-handler dispatch counts of this worker,
     // flushed to the UopCache once per launch alongside sb_runs_
@@ -315,7 +306,7 @@ class Executor
 
     // Dynamic superblock executions of this worker, flushed to the
     // UopCache once per launch (not into the launch registry, which
-    // must serialize identically with superblocks on and off).
+    // must serialize identically in every ExecMode).
     uint64_t sb_runs_ = 0;
     uint64_t sb_instrs_ = 0;
 

@@ -9,7 +9,10 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sass/opcode.h"
@@ -130,6 +133,97 @@ struct LaunchStats
     }
 };
 
+/**
+ * How the interpreter dispatches a launch. Every mode is
+ * observationally equivalent to Generic, the reference: same
+ * LaunchStats, metrics registry, tool aggregates and memory. The
+ * differential suites and the fuzz oracle run each program in every
+ * mode of kExecModes to hold them to that.
+ *
+ *  - Generic: per-instruction step() everywhere, and every
+ *    instrumentation site through the fiber dispatch.
+ *  - Superblock: straight-line runs of unpredicated ALU micro-ops
+ *    execute in one batched loop (simt/decode.h), one lane at a
+ *    time through the scalar exec functions.
+ *  - SuperblockSimd: the same runs on the AVX2 lane-vectorized tier
+ *    (simt/simd/simd_exec.h).
+ *  - Fused: superblocks plus compiled instrumentation sites: frame
+ *    templates written with direct stores, reentrant-safe handlers
+ *    called inline instead of through a fiber (simt/site_fuse.h).
+ *  - FusedSimd: fused sites on the SIMD tier; the default.
+ *
+ * On a host without AVX2 the SIMD modes run the scalar tier. The
+ * fiber path always remains for warp-synchronous handlers and sites
+ * that do not fuse.
+ */
+enum class ExecMode : uint8_t {
+    Generic,
+    Superblock,
+    SuperblockSimd,
+    Fused,
+    FusedSimd,
+};
+
+/** Every mode, reference first. */
+inline constexpr ExecMode kExecModes[] = {
+    ExecMode::Generic, ExecMode::Superblock, ExecMode::SuperblockSimd,
+    ExecMode::Fused, ExecMode::FusedSimd};
+
+/** The mode a launch runs in unless told otherwise. */
+inline constexpr ExecMode kDefaultExecMode = ExecMode::FusedSimd;
+
+/** The interpreter switches an ExecMode turns on. */
+struct ExecConfig
+{
+    bool superblocks = false; //!< Batched superblock runs.
+    bool fuseSites = false;   //!< Compiled instrumentation sites.
+    bool simd = false;        //!< AVX2 lane-vectorized uops.
+
+    bool operator==(const ExecConfig &) const = default;
+};
+
+/** Each ExecMode's name and switches, indexed by its value. */
+struct ExecModeRow
+{
+    const char *name;
+    ExecConfig config;
+};
+inline constexpr ExecModeRow kExecModeRows[] = {
+    {"generic", {false, false, false}},
+    {"superblock", {true, false, false}},
+    {"superblock-simd", {true, false, true}},
+    {"fused", {true, true, false}},
+    {"fused-simd", {true, true, true}},
+};
+static_assert(std::size(kExecModeRows) == std::size(kExecModes));
+
+/** @return the switches a mode requests, before the host check
+ *  that resolveExecConfig() (simt/decode.h) adds for SIMD. */
+constexpr ExecConfig
+execConfigOf(ExecMode m)
+{
+    return kExecModeRows[static_cast<size_t>(m)].config;
+}
+
+/** @return the mode's name, as SASSI_SIM_EXEC and sassi_prof
+ *  --exec spell it. */
+constexpr const char *
+execModeName(ExecMode m)
+{
+    return kExecModeRows[static_cast<size_t>(m)].name;
+}
+
+/** @return the mode named `name`, or nullopt for any other string
+ *  (the empty one included). */
+constexpr std::optional<ExecMode>
+parseExecMode(std::string_view name)
+{
+    for (ExecMode m : kExecModes)
+        if (name == execModeName(m))
+            return m;
+    return std::nullopt;
+}
+
 /** Options modifying a single launch. */
 struct LaunchOptions
 {
@@ -155,41 +249,13 @@ struct LaunchOptions
     int numThreads = 0;
 
     /**
-     * Superblock fast path: execute straight-line runs of
-     * unpredicated ALU micro-ops in one batched loop (see
-     * simt/decode.h). Observationally equivalent to the generic
-     * path; 0 forces the generic per-instruction path everywhere
-     * (the differential-testing escape hatch), positive forces the
-     * fast path on, and negative (the default) defers to the
-     * SASSI_SIM_SUPERBLOCKS environment variable, defaulting to on.
+     * Interpreter dispatch mode (see ExecMode). Unset defers to the
+     * SASSI_SIM_EXEC environment variable (a mode name), then to
+     * kDefaultExecMode. Launches that must run one particular path —
+     * the differential suites, the fuzz oracle, bench_interp — set
+     * it explicitly.
      */
-    int superblocks = -1;
-
-    /**
-     * Compiled-handler fast path: materialize recognized
-     * instrumentation-site bundles from prebuilt frame templates and
-     * call reentrant-safe handlers inline, eliding the per-site
-     * fiber round-trip (see simt/site_fuse.h). Observationally
-     * equivalent to the fiber path; 0 forces every site through the
-     * generic fiber dispatch (the differential-testing escape
-     * hatch), positive forces it on, and negative (the default)
-     * defers to the SASSI_SIM_HANDLER_FASTPATH environment variable,
-     * defaulting to on. Only effective when superblocks are enabled.
-     */
-    int handlerFastpath = -1;
-
-    /**
-     * SIMD interpreter tier: execute superblock uops for all 32
-     * lanes at once with AVX2 (see simt/simd/simd_exec.h).
-     * Observationally equivalent to the scalar tier; 0 forces every
-     * uop through its scalar exec function (the
-     * differential-testing escape hatch), positive forces the tier
-     * on where supported, and negative (the default) defers to the
-     * SASSI_SIM_SIMD environment variable, defaulting to on. Only
-     * effective when superblocks are enabled and the machine has
-     * AVX2 — otherwise the scalar tier runs regardless.
-     */
-    int simd = -1;
+    std::optional<ExecMode> exec;
 };
 
 /**

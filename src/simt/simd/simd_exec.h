@@ -17,7 +17,7 @@
  * hosts without that flag this header still compiles and
  * pickSimdFn() returns null for everything. Whether vector
  * functions are *called* is a launch-time decision
- * (resolveSimd × cpuHasAvx2, simt/decode.h), so a binary built
+ * (resolveExecConfig, simt/decode.h), so a binary built
  * with AVX2 still runs on machines without it.
  */
 

@@ -114,7 +114,7 @@ TEST(FuzzCampaign, MutationDiscoversCoverageGenerationAloneMisses)
 void
 breakDataAluUnderSuperblocks(ir::Module &m, const OracleConfig &cfg)
 {
-    if (cfg.superblocks != 1)
+    if (!simt::execConfigOf(cfg.mode).superblocks)
         return;
     for (auto &k : m.kernels)
         for (auto &ins : k.code) {

@@ -121,8 +121,7 @@ TEST(FuzzOracle, UninstrumentedSweepIsCheaperAndPasses)
     FuzzProgram p = generateProgram(2, 0);
     OracleReport r = runOracle(p, opt);
     EXPECT_EQ(r.status, OracleStatus::Pass) << r.message;
-    // {(sb,fp,simd) = (0,0,0),(1,0,0),(1,0,1),(1,1,0),(1,1,1)}
-    // x {1,2,8 threads}, no tools.
+    // kExecModes (5 modes) x {1,2,8 threads}, no tools.
     EXPECT_EQ(r.configsRun, 15);
 }
 
@@ -156,7 +155,7 @@ markedProgram()
 void
 breakMarkerUnderSuperblocks(ir::Module &m, const OracleConfig &cfg)
 {
-    if (cfg.superblocks != 1)
+    if (!simt::execConfigOf(cfg.mode).superblocks)
         return;
     for (auto &k : m.kernels)
         for (auto &ins : k.code)
@@ -187,7 +186,7 @@ TEST(FuzzOracle, CatchesAFastpathOnlyBrokenOp)
     // so a matrix without the fastpath dimension would miss it.
     OracleOptions opt;
     opt.moduleTweak = [](ir::Module &m, const OracleConfig &cfg) {
-        if (cfg.handlerFastpath != 1)
+        if (!simt::execConfigOf(cfg.mode).fuseSites)
             return;
         for (auto &k : m.kernels)
             for (auto &ins : k.code)
@@ -212,7 +211,7 @@ TEST(FuzzOracle, CatchesASimdOnlyBrokenOp)
     // simd=0 plane either way.
     OracleOptions opt;
     opt.moduleTweak = [](ir::Module &m, const OracleConfig &cfg) {
-        if (cfg.simd != 1)
+        if (!simt::execConfigOf(cfg.mode).simd)
             return;
         for (auto &k : m.kernels)
             for (auto &ins : k.code)

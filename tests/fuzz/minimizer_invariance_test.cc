@@ -54,7 +54,7 @@ markedProgram()
 void
 breakMarkerUnderSuperblocks(ir::Module &m, const OracleConfig &cfg)
 {
-    if (cfg.superblocks != 1)
+    if (!simt::execConfigOf(cfg.mode).superblocks)
         return;
     for (auto &k : m.kernels)
         for (auto &ins : k.code)
@@ -113,6 +113,7 @@ TEST(MinimizerInvariance, MinimizerRefusesToDriftBuckets)
     // failure "still reproduces" — as a different bug in a different
     // config). The bucket guard must keep the marker alive.
     auto tweak = [](ir::Module &m, const OracleConfig &cfg) {
+        const simt::ExecConfig exec = simt::execConfigOf(cfg.mode);
         bool marker = false;
         for (auto &k : m.kernels)
             for (auto &ins : k.code)
@@ -120,12 +121,12 @@ TEST(MinimizerInvariance, MinimizerRefusesToDriftBuckets)
                     marker = true;
         for (auto &k : m.kernels)
             for (auto &ins : k.code) {
-                if (marker && cfg.superblocks == 1 && ins.bIsImm &&
+                if (marker && exec.superblocks && ins.bIsImm &&
                     ins.imm == 0x777) {
                     ins.imm = 0x778;
                     return;
                 }
-                if (!marker && cfg.simd == 1 && ins.bIsImm &&
+                if (!marker && exec.simd && ins.bIsImm &&
                     !ins.synthetic) {
                     ++ins.imm;
                     return;

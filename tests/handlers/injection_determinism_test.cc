@@ -74,11 +74,11 @@ TEST(InjectionDeterminism, OutcomeInvariantAcrossThreadsAndSuperblocks)
         Outcome golden_outcome{};
         uint64_t golden_hash = 0;
         bool first = true;
-        for (int superblocks : {0, 1}) {
+        for (ExecMode mode : {ExecMode::Generic, kDefaultExecMode}) {
             for (int threads : {1, 2, 8}) {
                 auto w = workloads::makeHeartwall(256, 32);
                 w->launchOptions.numThreads = threads;
-                w->launchOptions.superblocks = superblocks;
+                w->launchOptions.exec = mode;
                 Device dev;
                 w->setup(dev);
                 core::SassiRuntime rt(dev);
@@ -87,7 +87,7 @@ TEST(InjectionDeterminism, OutcomeInvariantAcrossThreadsAndSuperblocks)
                 LaunchResult r = w->run(dev);
                 EXPECT_TRUE(injector.injected())
                     << "threads=" << threads
-                    << " superblocks=" << superblocks;
+                    << " mode=" << execModeName(mode);
                 uint64_t hash = r.ok() ? w->outputHash(dev) : 0;
                 if (first) {
                     golden_desc = injector.description();
@@ -98,13 +98,13 @@ TEST(InjectionDeterminism, OutcomeInvariantAcrossThreadsAndSuperblocks)
                 }
                 EXPECT_EQ(injector.description(), golden_desc)
                     << "threads=" << threads
-                    << " superblocks=" << superblocks;
+                    << " mode=" << execModeName(mode);
                 EXPECT_EQ(r.outcome, golden_outcome)
                     << "threads=" << threads
-                    << " superblocks=" << superblocks;
+                    << " mode=" << execModeName(mode);
                 EXPECT_EQ(hash, golden_hash)
                     << "threads=" << threads
-                    << " superblocks=" << superblocks;
+                    << " mode=" << execModeName(mode);
             }
         }
     }

@@ -3,9 +3,10 @@
  * Property tests for the scalar ALU semantics: random straight-line
  * programs over every ALU-class opcode executed on the simulator must
  * match an independent host-side evaluation of the same operation
- * sequence. Each program runs under every interpreter tier
+ * sequence. Each program runs in every ExecMode of kExecModes
  * (per-instruction stepping; superblocks on the scalar exec
- * functions; superblocks on the SIMD tier), unguarded and under
+ * functions; superblocks on the SIMD tier; each superblock tier
+ * with fused sites too), unguarded and under
  * per-lane guard predicates, so the host model is the reference all
  * of them are held to.
  */
@@ -37,18 +38,6 @@ const Dim3 kGrid(2, 2, 1);
 const Dim3 kBlock(8, 4, 2);
 constexpr uint32_t kLocalBytes = 64;
 constexpr uint32_t kOutWords = 7; // R10..R15 and a P2R of P0..P6+CC.
-
-/** The interpreter tiers every program runs under. */
-struct Tier
-{
-    const char *name;
-    int superblocks, simd;
-};
-constexpr Tier kTiers[] = {
-    {"superblocks=0", 0, 0},
-    {"superblocks=1 simd=0", 1, 0},
-    {"superblocks=1 simd=1", 1, 1},
-};
 
 /** Floats with NaN, infinity, signed-zero and F2I saturation edges. */
 constexpr uint32_t kEdgeBits[] = {
@@ -621,7 +610,7 @@ checkRandomPrograms(uint64_t seed, bool guarded)
         for (uint32_t g = 0; g < n; ++g)
             want[g] = hostOutput(ops, guarded, g);
 
-        for (const Tier &tier : kTiers) {
+        for (ExecMode mode : kExecModes) {
             ir::Module mod;
             mod.kernels.push_back(kernel);
             Device dev;
@@ -630,10 +619,10 @@ checkRandomPrograms(uint64_t seed, bool guarded)
             KernelArgs args;
             args.addU64(dout);
             LaunchOptions opts;
-            opts.superblocks = tier.superblocks;
-            opts.simd = tier.simd;
+            opts.exec = mode;
             LaunchResult res = dev.launch("alu", kGrid, kBlock, args, opts);
-            ASSERT_TRUE(res.ok()) << tier.name << ": " << res.message;
+            ASSERT_TRUE(res.ok())
+                << execModeName(mode) << ": " << res.message;
 
             std::vector<uint32_t> got(n * kOutWords);
             dev.memcpyDtoH(got.data(), dout, got.size() * 4);
@@ -647,8 +636,9 @@ checkRandomPrograms(uint64_t seed, bool guarded)
                     for (const Op &op : ops)
                         prog += "\n  " + describe(op);
                     ADD_FAILURE()
-                        << tier.name << " trial " << trial << " thread "
-                        << g << " word " << w << ": got 0x" << std::hex
+                        << execModeName(mode) << " trial " << trial
+                        << " thread " << g << " word " << w
+                        << ": got 0x" << std::hex
                         << got[g * kOutWords + w] << " want 0x"
                         << want[g][w] << std::dec << prog;
                     break;
@@ -698,7 +688,7 @@ TEST(AluPropertyClock, ClockReadsTheLiveIssueCount)
     const ir::Kernel kernel = kb.finish();
     const uint64_t L = kernel.code.size(), W = 2, ctas = 3;
 
-    for (const Tier &tier : kTiers) {
+    for (ExecMode mode : kExecModes) {
         ir::Module mod;
         mod.kernels.push_back(kernel);
         Device dev;
@@ -708,17 +698,18 @@ TEST(AluPropertyClock, ClockReadsTheLiveIssueCount)
         args.addU64(dout);
         LaunchOptions opts;
         opts.numThreads = 1;
-        opts.superblocks = tier.superblocks;
-        opts.simd = tier.simd;
+        opts.exec = mode;
         LaunchResult res =
             dev.launch("clk", Dim3(ctas), Dim3(64), args, opts);
-        ASSERT_TRUE(res.ok()) << tier.name << ": " << res.message;
+        ASSERT_TRUE(res.ok())
+            << execModeName(mode) << ": " << res.message;
         for (uint64_t c = 0; c < ctas; ++c) {
             for (uint64_t t = 0; t < 64; ++t) {
                 const uint64_t w = t / WarpSize;
                 EXPECT_EQ(dev.read<uint32_t>(dout + (c * 64 + t) * 4),
                           c * W * L + 3 * W + w + 1)
-                    << tier.name << " cta " << c << " thread " << t;
+                    << execModeName(mode) << " cta " << c << " thread "
+                    << t;
             }
         }
     }

@@ -5,17 +5,19 @@
  * outside their budget compile to an error; superblock formation
  * respects basic-block leaders, predication, and the eligibility
  * rules; the process-wide UopCache shares compiled programs by
- * content fingerprint; and the launch-time superblock switch
- * resolves option > environment > default.
+ * content fingerprint; every ExecMode name parses back to its mode;
+ * and the launch-time mode resolves option > environment > default.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "sassir/builder.h"
 #include "simt/decode.h"
+#include "simt/simd/simd_exec.h"
 
 using namespace sassi;
 using namespace sassi::sass;
@@ -346,28 +348,110 @@ TEST(UopCache, RewrittenKernelRecompilesAndInvalidates)
     cache.clear();
 }
 
-TEST(ResolveSuperblocks, OptionBeatsEnvironmentBeatsDefault)
+/** Sets SASSI_SIM_EXEC (or unsets it, for null) for one scope and
+ *  restores the caller's value afterwards. */
+class ScopedExecEnv
 {
-    const char *saved = std::getenv("SASSI_SIM_SUPERBLOCKS");
-    std::string saved_value = saved ? saved : "";
+  public:
+    explicit ScopedExecEnv(const char *value)
+    {
+        if (const char *old = std::getenv("SASSI_SIM_EXEC"))
+            saved_ = old;
+        if (value)
+            setenv("SASSI_SIM_EXEC", value, 1);
+        else
+            unsetenv("SASSI_SIM_EXEC");
+    }
 
-    unsetenv("SASSI_SIM_SUPERBLOCKS");
-    EXPECT_TRUE(resolveSuperblocks(-1)); // Default: on.
-    EXPECT_FALSE(resolveSuperblocks(0)); // Option forces off.
-    EXPECT_TRUE(resolveSuperblocks(1));
+    ~ScopedExecEnv()
+    {
+        if (saved_)
+            setenv("SASSI_SIM_EXEC", saved_->c_str(), 1);
+        else
+            unsetenv("SASSI_SIM_EXEC");
+    }
 
-    setenv("SASSI_SIM_SUPERBLOCKS", "0", 1);
-    EXPECT_FALSE(resolveSuperblocks(-1)); // Env escape hatch.
-    EXPECT_TRUE(resolveSuperblocks(1));   // Option still wins.
-    EXPECT_FALSE(resolveSuperblocks(0));
+  private:
+    std::optional<std::string> saved_;
+};
 
-    setenv("SASSI_SIM_SUPERBLOCKS", "1", 1);
-    EXPECT_TRUE(resolveSuperblocks(-1));
+TEST(ExecMode, EveryNameRoundTrips)
+{
+    for (ExecMode m : kExecModes)
+        EXPECT_EQ(parseExecMode(execModeName(m)), m) << execModeName(m);
+}
 
-    if (saved)
-        setenv("SASSI_SIM_SUPERBLOCKS", saved_value.c_str(), 1);
-    else
-        unsetenv("SASSI_SIM_SUPERBLOCKS");
+TEST(ExecMode, UnknownOrEmptyNameIsRejected)
+{
+    EXPECT_EQ(parseExecMode(""), std::nullopt);
+    EXPECT_EQ(parseExecMode("0"), std::nullopt);
+    EXPECT_EQ(parseExecMode("Generic"), std::nullopt);
+    EXPECT_EQ(parseExecMode("fused-simd "), std::nullopt);
+}
+
+TEST(ResolveExecConfig, OptionBeatsEnvironmentBeatsDefault)
+{
+    const ExecConfig fused = execConfigOf(ExecMode::Fused);
+    const ExecConfig superblock = execConfigOf(ExecMode::Superblock);
+    {
+        ScopedExecEnv env(nullptr);
+        EXPECT_EQ(resolveExecConfig(std::nullopt),
+                  resolveExecConfig(kDefaultExecMode));
+        EXPECT_EQ(resolveExecConfig(ExecMode::Fused), fused);
+    }
+    {
+        ScopedExecEnv env("superblock");
+        EXPECT_EQ(resolveExecConfig(std::nullopt), superblock);
+        EXPECT_EQ(resolveExecConfig(ExecMode::Fused), fused);
+    }
+    {
+        // An empty value is the same as no value.
+        ScopedExecEnv env("");
+        EXPECT_EQ(resolveExecConfig(std::nullopt),
+                  resolveExecConfig(kDefaultExecMode));
+    }
+}
+
+TEST(ResolveExecConfig, UnknownEnvironmentValueWarnsOnceAndKeepsDefault)
+{
+    // "0" used to switch a tier off; it must not quietly mean that
+    // (or anything but the default) now.
+    ScopedExecEnv env("0");
+    ::testing::internal::CaptureStderr();
+    const ExecConfig cfg = resolveExecConfig(std::nullopt);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cfg, resolveExecConfig(kDefaultExecMode));
+    EXPECT_NE(err.find("SASSI_SIM_EXEC value '0'"), std::string::npos)
+        << err;
+    for (ExecMode m : kExecModes)
+        EXPECT_NE(err.find(execModeName(m)), std::string::npos)
+            << "warning does not list " << execModeName(m) << ": "
+            << err;
+
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(resolveExecConfig(std::nullopt), cfg);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "")
+        << "the same bad value was reported twice";
+}
+
+TEST(ResolveExecConfig, ModesResolveToDistinctConfigs)
+{
+    EXPECT_EQ(resolveExecConfig(ExecMode::Generic), ExecConfig{});
+    for (ExecMode m : kExecModes) {
+        ExecConfig want = execConfigOf(m);
+        want.simd = want.simd && simd::cpuHasAvx2();
+        EXPECT_EQ(resolveExecConfig(m), want) << execModeName(m);
+    }
+    if (!simd::cpuHasAvx2())
+        return; // The SIMD modes fold onto their scalar twins.
+    for (ExecMode a : kExecModes) {
+        for (ExecMode b : kExecModes) {
+            if (a != b) {
+                EXPECT_NE(resolveExecConfig(a), resolveExecConfig(b))
+                    << execModeName(a) << " vs " << execModeName(b);
+            }
+        }
+    }
 }
 
 } // namespace

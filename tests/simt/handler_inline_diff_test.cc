@@ -4,11 +4,13 @@
  * the warp-level tools that left the fiber path (ValueProfiler's and
  * MemTracer's warp bodies run via the devirtualized inline call, no
  * per-lane fiber group) must produce the same results with the
- * handler fast path off (fiber dispatch) and on (fused sites, SIMD
- * frame materialization, inline call). This is the contract that
- * lets reentrantSafe tools default onto the fast path — any
- * divergence in aggregates, traces, stats, or device memory is a
- * bug in site fusion or the inline dispatcher.
+ * handler fast path off (ExecMode::SuperblockSimd: fiber dispatch)
+ * and on (ExecMode::FusedSimd: fused sites, SIMD frame
+ * materialization, inline call). Both modes are pinned, so the
+ * environment cannot collapse the two sides onto one path. This is
+ * the contract that lets reentrantSafe tools default onto the fast
+ * path — any divergence in aggregates, traces, stats, or device
+ * memory is a bug in site fusion or the inline dispatcher.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +38,10 @@ namespace {
 
 constexpr int kCtas = 8;
 constexpr int kBlock = 64;
+
+/** The two modes every comparison here runs, fast path off then on. */
+constexpr ExecMode kSides[2] = {ExecMode::SuperblockSimd,
+                                ExecMode::FusedSimd};
 
 /**
  * Same site mix as the superblock handler sweep: a data-dependent
@@ -130,13 +136,13 @@ makeToolEnv(const core::InstrumentOptions &opts)
 }
 
 LaunchResult
-launchTool(ToolEnv &env, int threads, int fastpath)
+launchTool(ToolEnv &env, int threads, ExecMode mode)
 {
     KernelArgs args;
     args.addU64(env.buf);
     LaunchOptions opts;
     opts.numThreads = threads;
-    opts.handlerFastpath = fastpath;
+    opts.exec = mode;
     return env.dev->launch("istress", Dim3(kCtas), Dim3(kBlock), args,
                            opts);
 }
@@ -165,7 +171,7 @@ TEST(HandlerInlineDiff, ValueProfiler)
             ToolEnv env =
                 makeToolEnv(handlers::ValueProfiler::options());
             handlers::ValueProfiler tool(*env.dev, *env.rt);
-            results[fp] = launchTool(env, threads, fp);
+            results[fp] = launchTool(env, threads, kSides[fp]);
             ASSERT_TRUE(results[fp].ok()) << results[fp].message;
             profiles[fp] = tool.results();
             out[fp] = readBuf(env);
@@ -217,7 +223,7 @@ TEST(HandlerInlineDiff, MemTracerSerial)
     for (int fp = 0; fp < 2; ++fp) {
         ToolEnv env = makeToolEnv(handlers::MemTracer::options());
         handlers::MemTracer tool(*env.dev, *env.rt);
-        LaunchResult r = launchTool(env, 1, fp);
+        LaunchResult r = launchTool(env, 1, kSides[fp]);
         ASSERT_TRUE(r.ok()) << r.message;
         traces[fp] = tool.trace();
         out[fp] = readBuf(env);
@@ -242,7 +248,7 @@ TEST(HandlerInlineDiff, MemTracerParallelCanonicalized)
     for (int fp = 0; fp < 2; ++fp) {
         ToolEnv env = makeToolEnv(handlers::MemTracer::options());
         handlers::MemTracer tool(*env.dev, *env.rt);
-        LaunchResult r = launchTool(env, 8, fp);
+        LaunchResult r = launchTool(env, 8, kSides[fp]);
         ASSERT_TRUE(r.ok()) << r.message;
         std::map<uint32_t, std::vector<Access>> byEvent;
         for (const auto &rec : tool.trace())
@@ -273,7 +279,7 @@ TEST(HandlerInlineDiff, InstrCounterArenaStability)
     for (int fp = 0; fp < 2; ++fp) {
         ToolEnv env = makeToolEnv(handlers::InstrCounter::options());
         handlers::InstrCounter tool(*env.dev, *env.rt);
-        LaunchResult r = launchTool(env, 1, fp);
+        LaunchResult r = launchTool(env, 1, kSides[fp]);
         ASSERT_TRUE(r.ok()) << r.message;
         Metrics m;
         tool.publish(m);

@@ -3,11 +3,11 @@
  * Observational-equivalence tests for the SIMD interpreter tier:
  * every workload in the suite and every instrumentation handler
  * must produce bit-identical results with the lane-vectorized exec
- * functions on vs off, across worker-thread counts and superblock
- * modes. This is the contract that lets the SIMD tier stay on by
- * default — any divergence in LaunchStats, the metrics registry,
- * handler aggregates, trace records, or output hashes is a bug in
- * a vector exec function.
+ * functions on vs off (ExecMode::FusedSimd vs ExecMode::Fused),
+ * across worker-thread counts. This is the contract that lets the
+ * SIMD tier stay on by default — any divergence in LaunchStats, the
+ * metrics registry, handler aggregates, trace records, or output
+ * hashes is a bug in a vector exec function.
  *
  * The SimdDiff workload sweep is fiber-free (uninstrumented
  * launches only), so it also runs in the TSan preset; the handler
@@ -41,6 +41,10 @@ using sassi::ir::KernelBuilder;
 using sassi::ir::Label;
 
 namespace {
+
+/** The two modes every comparison here runs: the scalar uop tier and
+ *  the lane-vectorized one, both with fused sites. */
+constexpr ExecMode kSides[2] = {ExecMode::Fused, ExecMode::FusedSimd};
 
 void
 expectStatsEqual(const LaunchStats &a, const LaunchStats &b)
@@ -80,14 +84,12 @@ struct WorkloadRun
 };
 
 WorkloadRun
-runWorkload(const SuiteEntry &e, int threads, int superblocks,
-            int simd)
+runWorkload(const SuiteEntry &e, int threads, ExecMode mode)
 {
     auto w = e.make();
     Device dev;
     w->launchOptions.numThreads = threads;
-    w->launchOptions.superblocks = superblocks;
-    w->launchOptions.simd = simd;
+    w->launchOptions.exec = mode;
     w->setup(dev);
     WorkloadRun run;
     run.result = w->run(dev);
@@ -102,19 +104,14 @@ TEST_P(SimdDiff, WorkloadObservablesMatch)
     const SuiteEntry &e = suite()[GetParam()];
 
     // Serial execution is fully deterministic, so the two uop tiers
-    // must agree on *every* observable, bit for bit — under
-    // superblocks (where the tiers actually diverge in code
-    // executed) and without them (where simd must be inert).
-    WorkloadRun ref = runWorkload(e, 1, 1, 0);
-    ASSERT_TRUE(ref.result.ok()) << e.name << ": "
-                                 << ref.result.message;
-    ASSERT_TRUE(ref.verified) << e.name;
-    for (int superblocks : {1, 0}) {
-        SCOPED_TRACE("threads=1 superblocks=" +
-                     std::to_string(superblocks) + " simd=1 vs 0");
-        WorkloadRun scalar =
-            superblocks == 1 ? ref : runWorkload(e, 1, 0, 0);
-        WorkloadRun vec = runWorkload(e, 1, superblocks, 1);
+    // must agree on *every* observable, bit for bit.
+    WorkloadRun scalar = runWorkload(e, 1, kSides[0]);
+    ASSERT_TRUE(scalar.result.ok()) << e.name << ": "
+                                    << scalar.result.message;
+    ASSERT_TRUE(scalar.verified) << e.name;
+    {
+        SCOPED_TRACE("threads=1 fused-simd vs fused");
+        WorkloadRun vec = runWorkload(e, 1, kSides[1]);
         ASSERT_EQ(vec.result.outcome, scalar.result.outcome);
         EXPECT_EQ(vec.result.message, scalar.result.message);
         expectStatsEqual(vec.result.stats, scalar.result.stats);
@@ -131,10 +128,10 @@ TEST_P(SimdDiff, WorkloadObservablesMatch)
     // interleaving leaves invariant: both tiers complete and
     // verify. Multi-threaded byte-identity on a deterministic
     // kernel is proven by the handler sweep.
-    for (int simd : {0, 1}) {
-        SCOPED_TRACE("threads=8 simd=" + std::to_string(simd));
-        WorkloadRun run = runWorkload(e, 8, 1, simd);
-        ASSERT_EQ(run.result.outcome, ref.result.outcome);
+    for (ExecMode mode : kSides) {
+        SCOPED_TRACE(std::string("threads=8 ") + execModeName(mode));
+        WorkloadRun run = runWorkload(e, 8, mode);
+        ASSERT_EQ(run.result.outcome, scalar.result.outcome);
         EXPECT_TRUE(run.verified) << e.name;
     }
 }
@@ -264,14 +261,13 @@ makeToolEnv(const core::InstrumentOptions &opts)
 }
 
 LaunchResult
-launchTool(ToolEnv &env, int threads, int superblocks, int simd)
+launchTool(ToolEnv &env, int threads, ExecMode mode)
 {
     KernelArgs args;
     args.addU64(env.buf);
     LaunchOptions opts;
     opts.numThreads = threads;
-    opts.superblocks = superblocks;
-    opts.simd = simd;
+    opts.exec = mode;
     return env.dev->launch("sstress", Dim3(kCtas), Dim3(kBlock), args,
                            opts);
 }
@@ -279,22 +275,21 @@ launchTool(ToolEnv &env, int threads, int superblocks, int simd)
 /**
  * Run the handler kernel under a tool with the SIMD tier off vs on
  * and compare each mode's published metrics and output buffer, at
- * the given worker count and superblock mode. The tool factory runs
- * after instrument() so handler registration sees final code.
+ * the given worker count. The tool factory runs after instrument()
+ * so handler registration sees final code.
  */
 template <typename Tool>
 void
-expectToolInvariant(int threads, int superblocks)
+expectToolInvariant(int threads)
 {
-    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                 " superblocks=" + std::to_string(superblocks));
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     std::string serialized[2];
     std::vector<uint32_t> out[2];
     LaunchResult results[2];
     for (int simd = 0; simd < 2; ++simd) {
         ToolEnv env = makeToolEnv(Tool::options());
         Tool tool(*env.dev, *env.rt);
-        results[simd] = launchTool(env, threads, superblocks, simd);
+        results[simd] = launchTool(env, threads, kSides[simd]);
         ASSERT_TRUE(results[simd].ok()) << results[simd].message;
         Metrics m;
         tool.publish(m);
@@ -316,8 +311,7 @@ void
 sweepToolInvariant()
 {
     for (int threads : {1, 8})
-        for (int superblocks : {1, 0})
-            expectToolInvariant<Tool>(threads, superblocks);
+        expectToolInvariant<Tool>(threads);
 }
 
 TEST(SimdHandlerDiff, InstrCounter)
@@ -350,7 +344,7 @@ TEST(SimdHandlerDiff, ValueProfiler)
             ToolEnv env =
                 makeToolEnv(handlers::ValueProfiler::options());
             handlers::ValueProfiler tool(*env.dev, *env.rt);
-            LaunchResult r = launchTool(env, threads, 1, simd);
+            LaunchResult r = launchTool(env, threads, kSides[simd]);
             ASSERT_TRUE(r.ok()) << r.message;
             profiles[simd] = tool.results();
         }
@@ -379,7 +373,7 @@ TEST(SimdHandlerDiff, MemTracer)
     for (int simd = 0; simd < 2; ++simd) {
         ToolEnv env = makeToolEnv(handlers::MemTracer::options());
         handlers::MemTracer tool(*env.dev, *env.rt);
-        LaunchResult r = launchTool(env, 1, 1, simd);
+        LaunchResult r = launchTool(env, 1, kSides[simd]);
         ASSERT_TRUE(r.ok()) << r.message;
         traces[simd] = tool.trace();
     }

@@ -247,6 +247,10 @@ TEST(SiteFuseTemplate, IdentityMarkingIsExact)
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
+/** The two modes every comparison here runs, fast path off then on. */
+constexpr ExecMode kSides[2] = {ExecMode::SuperblockSimd,
+                                ExecMode::FusedSimd};
+
 void
 expectStatsEqual(const LaunchStats &a, const LaunchStats &b)
 {
@@ -290,14 +294,13 @@ makeToolEnv(const core::InstrumentOptions &opts)
 }
 
 LaunchResult
-launchTool(ToolEnv &env, int threads, int fastpath)
+launchTool(ToolEnv &env, int threads, ExecMode mode)
 {
     KernelArgs args;
     args.addU64(env.buf);
     LaunchOptions opts;
     opts.numThreads = threads;
-    opts.superblocks = 1;
-    opts.handlerFastpath = fastpath;
+    opts.exec = mode;
     return env.dev->launch("sfstress", Dim3(kCtas), Dim3(kBlock),
                            args, opts);
 }
@@ -320,7 +323,7 @@ expectFastpathInvariant(int threads)
     for (int fp = 0; fp < 2; ++fp) {
         ToolEnv env = makeToolEnv(Tool::options());
         Tool tool(*env.dev, *env.rt);
-        results[fp] = launchTool(env, threads, fp);
+        results[fp] = launchTool(env, threads, kSides[fp]);
         ASSERT_TRUE(results[fp].ok()) << results[fp].message;
         Metrics m;
         tool.publish(m);
@@ -373,7 +376,7 @@ TEST(FastpathHandlerDiff, ValueProfiler)
             ToolEnv env =
                 makeToolEnv(handlers::ValueProfiler::options());
             handlers::ValueProfiler tool(*env.dev, *env.rt);
-            results[fp] = launchTool(env, threads, fp);
+            results[fp] = launchTool(env, threads, kSides[fp]);
             ASSERT_TRUE(results[fp].ok()) << results[fp].message;
             profiles[fp] = tool.results();
             out[fp].resize(kCtas * kBlock);
@@ -406,7 +409,7 @@ TEST(FastpathHandlerDiff, MemTracer)
     for (int fp = 0; fp < 2; ++fp) {
         ToolEnv env = makeToolEnv(handlers::MemTracer::options());
         handlers::MemTracer tool(*env.dev, *env.rt);
-        LaunchResult r = launchTool(env, 1, fp);
+        LaunchResult r = launchTool(env, 1, kSides[fp]);
         ASSERT_TRUE(r.ok()) << r.message;
         traces[fp] = tool.trace();
     }
@@ -434,7 +437,7 @@ TEST(FastpathHandlerDiff, ErrorInjectionProfiler)
                 handlers::ErrorInjectionProfiler::options());
             handlers::ErrorInjectionProfiler tool(*env.dev,
                                                   *env.rt);
-            results[fp] = launchTool(env, threads, fp);
+            results[fp] = launchTool(env, threads, kSides[fp]);
             ASSERT_TRUE(results[fp].ok()) << results[fp].message;
             for (const auto &p : tool.profiles())
                 totals[fp] += p.total;

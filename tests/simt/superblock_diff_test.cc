@@ -2,8 +2,9 @@
  * @file
  * Observational-equivalence tests for the superblock fast path:
  * every workload in the suite and every instrumentation handler
- * must produce bit-identical results with superblocks off vs on,
- * at every supported worker-thread count. This is the contract that
+ * must produce bit-identical results in the generic mode and the
+ * default superblock mode (kSides), at every supported
+ * worker-thread count. This is the contract that
  * lets the fast path stay on by default — any divergence in
  * LaunchStats, the metrics registry, handler aggregates, or output
  * hashes is a bug in the micro-op compiler.
@@ -36,6 +37,10 @@ using sassi::ir::Label;
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
+
+/** The two modes every comparison here runs: the generic reference
+ *  and the default superblock mode. */
+constexpr ExecMode kSides[2] = {ExecMode::Generic, kDefaultExecMode};
 
 void
 expectStatsEqual(const LaunchStats &a, const LaunchStats &b)
@@ -75,12 +80,12 @@ struct WorkloadRun
 };
 
 WorkloadRun
-runWorkload(const SuiteEntry &e, int threads, int superblocks)
+runWorkload(const SuiteEntry &e, int threads, ExecMode mode)
 {
     auto w = e.make();
     Device dev;
     w->launchOptions.numThreads = threads;
-    w->launchOptions.superblocks = superblocks;
+    w->launchOptions.exec = mode;
     w->setup(dev);
     WorkloadRun run;
     run.result = w->run(dev);
@@ -97,13 +102,14 @@ TEST_P(SuperblockDiff, WorkloadObservablesMatch)
     // Serial execution is fully deterministic, so here the two
     // superblock modes must agree on *every* observable, bit for
     // bit: stats, the whole metrics registry, and the output.
-    WorkloadRun ref = runWorkload(e, 1, 0);
+    WorkloadRun ref = runWorkload(e, 1, kSides[0]);
     ASSERT_TRUE(ref.result.ok()) << e.name << ": "
                                  << ref.result.message;
     ASSERT_TRUE(ref.verified) << e.name;
     {
-        SCOPED_TRACE("threads=1 superblocks=1");
-        WorkloadRun fast = runWorkload(e, 1, 1);
+        SCOPED_TRACE(std::string("threads=1 ") +
+                     execModeName(kSides[1]));
+        WorkloadRun fast = runWorkload(e, 1, kSides[1]);
         ASSERT_EQ(fast.result.outcome, ref.result.outcome);
         EXPECT_EQ(fast.result.message, ref.result.message);
         expectStatsEqual(fast.result.stats, ref.result.stats);
@@ -124,11 +130,10 @@ TEST_P(SuperblockDiff, WorkloadObservablesMatch)
     // modes on deterministic kernels is proven by the handler
     // sweep below and the ParallelDeterminism suite.
     for (int threads : {2, 8}) {
-        for (int superblocks : {0, 1}) {
-            SCOPED_TRACE("threads=" + std::to_string(threads) +
-                         " superblocks=" +
-                         std::to_string(superblocks));
-            WorkloadRun run = runWorkload(e, threads, superblocks);
+        for (ExecMode mode : kSides) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) + " " +
+                         execModeName(mode));
+            WorkloadRun run = runWorkload(e, threads, mode);
             ASSERT_EQ(run.result.outcome, ref.result.outcome);
             EXPECT_TRUE(run.verified) << e.name;
         }
@@ -250,13 +255,13 @@ makeToolEnv(const core::InstrumentOptions &opts)
 }
 
 LaunchResult
-launchTool(ToolEnv &env, int threads, int superblocks)
+launchTool(ToolEnv &env, int threads, ExecMode mode)
 {
     KernelArgs args;
     args.addU64(env.buf);
     LaunchOptions opts;
     opts.numThreads = threads;
-    opts.superblocks = superblocks;
+    opts.exec = mode;
     return env.dev->launch("hstress", Dim3(kCtas), Dim3(kBlock), args,
                            opts);
 }
@@ -278,7 +283,7 @@ expectToolInvariant(int threads)
     for (int mode = 0; mode < 2; ++mode) {
         ToolEnv env = makeToolEnv(Tool::options());
         Tool tool(*env.dev, *env.rt);
-        results[mode] = launchTool(env, threads, mode);
+        results[mode] = launchTool(env, threads, kSides[mode]);
         ASSERT_TRUE(results[mode].ok()) << results[mode].message;
         Metrics m;
         tool.publish(m);
@@ -329,7 +334,7 @@ TEST(SuperblockHandlerDiff, ValueProfiler)
             ToolEnv env =
                 makeToolEnv(handlers::ValueProfiler::options());
             handlers::ValueProfiler tool(*env.dev, *env.rt);
-            LaunchResult r = launchTool(env, threads, mode);
+            LaunchResult r = launchTool(env, threads, kSides[mode]);
             ASSERT_TRUE(r.ok()) << r.message;
             profiles[mode] = tool.results();
         }
@@ -358,7 +363,7 @@ TEST(SuperblockHandlerDiff, MemTracer)
     for (int mode = 0; mode < 2; ++mode) {
         ToolEnv env = makeToolEnv(handlers::MemTracer::options());
         handlers::MemTracer tool(*env.dev, *env.rt);
-        LaunchResult r = launchTool(env, 1, mode);
+        LaunchResult r = launchTool(env, 1, kSides[mode]);
         ASSERT_TRUE(r.ok()) << r.message;
         traces[mode] = tool.trace();
     }

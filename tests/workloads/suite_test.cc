@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "core/sassi.h"
 #include "workloads/suite.h"
 
@@ -106,6 +110,57 @@ TEST_P(WorkloadSuite, OutputHashIsDeterministic)
         hashes[trial] = w->outputHash(dev);
     }
     EXPECT_EQ(hashes[0], hashes[1]) << e.name;
+}
+
+/** Sets one environment variable for a scope and restores the
+ *  caller's value afterwards. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            saved_ = old;
+        setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (saved_)
+            setenv(name_, saved_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> saved_;
+};
+
+TEST_P(WorkloadSuite, OutputHashIsThreadCountInvariant)
+{
+    // A workload whose CTAs communicate through global memory in an
+    // order-dependent way (check-then-increment, work queues) hashes
+    // differently depending on how workers interleave its CTAs.
+    // One-CTA chunks spread the grid over the workers as finely as
+    // possible, so such a workload fails here reliably instead of
+    // flaking elsewhere. The worker count goes through the
+    // environment, so a workload that pins numThreads = 1 for
+    // exactly this reason still runs serially.
+    const SuiteEntry &e = suite()[GetParam()];
+    ScopedEnv chunk("SASSI_SIM_CHUNK_CTAS", "1");
+    const char *workers[2] = {"1", "4"};
+    uint64_t hashes[2];
+    for (int i = 0; i < 2; ++i) {
+        ScopedEnv threads("SASSI_SIM_THREADS", workers[i]);
+        auto w = e.make();
+        simt::Device dev;
+        w->setup(dev);
+        ASSERT_TRUE(w->run(dev).ok()) << e.name;
+        hashes[i] = w->outputHash(dev);
+    }
+    EXPECT_EQ(hashes[0], hashes[1])
+        << e.name << ": output differs between 1 and 4 workers";
 }
 
 } // namespace

@@ -15,13 +15,10 @@
  *     --trace FILE   also record a Chrome trace_event timeline
  *     --csv          emit CSV instead of an aligned table
  *     --no-json      skip the BENCH_simt.json merge
- *     --no-superblocks  force the generic per-instruction
- *                    interpreter path (SASSI_SIM_SUPERBLOCKS=0)
- *     --no-handler-fastpath  keep fused instrumentation sites on the
- *                    generic fiber dispatch path
- *     --no-simd      run every uop on its scalar exec function
- *                    instead of the AVX2 lane-vectorized tier
- *                    (SASSI_SIM_SIMD=0)
+ *     --exec MODE    dispatch mode: generic, superblock,
+ *                    superblock-simd, fused or fused-simd (default:
+ *                    SASSI_SIM_EXEC, else fused-simd; see
+ *                    simt::ExecMode)
  *
  * The table includes the process-wide micro-op compiler counters
  * ("uop/...": compile/hit/entry counts, superblock statics and
@@ -82,9 +79,7 @@ main(int argc, char **argv)
     bool instrument = false;
     bool csv = false;
     bool write_json = true;
-    int superblocks = -1;
-    int handler_fastpath = -1;
-    int simd = -1;
+    std::optional<simt::ExecMode> exec;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -101,12 +96,17 @@ main(int argc, char **argv)
             csv = true;
         } else if (arg == "--no-json") {
             write_json = false;
-        } else if (arg == "--no-superblocks") {
-            superblocks = 0;
-        } else if (arg == "--no-handler-fastpath") {
-            handler_fastpath = 0;
-        } else if (arg == "--no-simd") {
-            simd = 0;
+        } else if (arg == "--exec" && i + 1 < argc) {
+            exec = simt::parseExecMode(argv[++i]);
+            if (!exec) {
+                std::fprintf(stderr,
+                             "unknown --exec mode '%s' (accepted:",
+                             argv[i]);
+                for (simt::ExecMode m : simt::kExecModes)
+                    std::fprintf(stderr, " %s", simt::execModeName(m));
+                std::fprintf(stderr, ")\n");
+                return 1;
+            }
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             return 1;
@@ -129,9 +129,7 @@ main(int argc, char **argv)
     simt::Device dev;
     std::unique_ptr<workloads::Workload> w = entry->make();
     w->launchOptions.numThreads = threads;
-    w->launchOptions.superblocks = superblocks;
-    w->launchOptions.handlerFastpath = handler_fastpath;
-    w->launchOptions.simd = simd;
+    w->launchOptions.exec = exec;
     w->setup(dev);
 
     std::unique_ptr<core::SassiRuntime> rt;
