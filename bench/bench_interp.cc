@@ -437,23 +437,6 @@ main(int argc, char **argv)
                 rec.extra.emplace_back("speedup_vs_off", speedup);
             json.add(rec);
         }
-        if (b.instrumented) {
-            // Isolate the compiled-handler contribution: superblocks
-            // on but sites forced back onto the fiber path.
-            Rate fiber = measure(s, ExecMode::SuperblockSimd, min_secs);
-            std::printf("%-24s sb on, handler fastpath off "
-                        "%8.2f Mwi/s\n",
-                        b.name, fiber.instrsPerSec / 1e6);
-            bench::BenchRecord rec;
-            rec.name = std::string(b.name) +
-                       "/superblocks=1+fastpath=0";
-            rec.wallSeconds = fiber.secs;
-            rec.warpInstrsPerSec = fiber.instrsPerSec;
-            rec.threads = 1;
-            rec.extra.emplace_back(
-                "launches", static_cast<double>(fiber.launches));
-            json.add(rec);
-        }
     }
 
     // SIMD-tier contribution: the fused mode with the

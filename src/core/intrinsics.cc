@@ -67,9 +67,9 @@ rendezvous(uint64_t value, const FiberGroup::Reducer &reducer)
 {
     core::DispatchState *ds = dispatch();
     panic_if(!ds->fibers || !ds->fibers->inFiber(),
-             "warp intrinsic outside fiber execution (a handler "
-             "marked reentrantSafe must not rendezvous; use its "
-             "warpHandler body instead)");
+             "warp intrinsic outside fiber execution (a lane-loop or "
+             "inline-dispatched handler must not rendezvous; mark it "
+             "warpSynchronous, or give it a warpFn body)");
     return ds->fibers->barrier(value, reducer);
 }
 

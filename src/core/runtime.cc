@@ -182,18 +182,8 @@ SassiRuntime::prepareLaunch()
         r.traits = &traits;
         r.hasFilter = static_cast<bool>(traits.warpFilter);
         r.warpSynchronous = traits.warpSynchronous;
-        if (traits.warpFn) {
-            r.warpFn = traits.warpFn;
-            r.warpCtx = traits.warpCtx;
-        } else if (traits.warpHandler) {
-            // Trampoline over the std::function form: the context is
-            // the function object itself, which outlives the records
-            // (it lives in the traits the runtime owns).
-            r.warpFn = [](const void *ctx, const WarpHandlerEnv &we) {
-                (*static_cast<const WarpHandler *>(ctx))(we);
-            };
-            r.warpCtx = &traits.warpHandler;
-        }
+        r.warpFn = traits.warpFn;
+        r.warpCtx = traits.warpCtx;
         // A null handler (metrics-only dispatch) always qualifies;
         // otherwise the handler must be reentrant-safe and, when
         // warp-synchronous, supply a warp-level body (there are no
@@ -258,13 +248,10 @@ SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
     if (rec.hasFilter && !traits.warpFilter(exec, warp, site))
         return;
 
-    // One fiber group per OS thread: parallel CTA workers dispatch
-    // concurrently, and ucontext fiber state must never be shared
-    // (or migrated) across threads. The dispatch state is likewise
-    // thread-local so its 32 lane environments (and the lane list)
-    // are allocated once per thread, not once per site call;
-    // dispatches never nest (handlers are host closures).
-    static thread_local FiberGroup fibers;
+    // The dispatch state is thread-local so its 32 lane
+    // environments (and the lane list) are allocated once per
+    // thread, not once per site call; dispatches never nest
+    // (handlers are host closures).
     static thread_local DispatchState ds_storage;
     static thread_local std::vector<int> lanes_storage;
 
@@ -273,7 +260,7 @@ SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
     ds.warp = &warp;
     ds.site = &site;
     ds.activeMask = warp.activeMask;
-    ds.fibers = &fibers;
+    ds.fibers = nullptr; // Set below for warp-synchronous handlers.
     ds.faulted = false;
     if (ds.envs.size() != static_cast<size_t>(sass::WarpSize))
         ds.envs.resize(sass::WarpSize); // Sized once per thread.
@@ -304,6 +291,13 @@ SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
 
     tl_dispatch = &ds;
     if (traits.warpSynchronous) {
+        // One fiber group per OS thread: parallel CTA workers
+        // dispatch concurrently, and ucontext fiber state must never
+        // be shared (or migrated) across threads. Built on a
+        // thread's first warp-synchronous dispatch only, so workers
+        // that only run lane-loop handlers never touch its stacks.
+        static thread_local FiberGroup fibers;
+        ds.fibers = &fibers;
         fibers.run(lanes, [&](int lane) {
             try {
                 handler(ds.envs[static_cast<size_t>(lane)]);

@@ -88,7 +88,7 @@ struct HandlerEnv
 using Handler = std::function<void(const HandlerEnv &)>;
 
 /**
- * Warp-level view handed to a HandlerTraits::warpHandler: the
+ * Warp-level view handed to a HandlerTraits::warpFn: the
  * per-lane environments (indexed by lane id; only activeMask lanes
  * are populated) of one dispatch. The warp handler sees all lanes
  * at once, so it can compute ballots/reductions directly instead of
@@ -100,16 +100,11 @@ struct WarpHandlerEnv
     uint32_t activeMask = 0;
 };
 
-/** Warp-level handler: one invocation per active warp per site. */
-using WarpHandler = std::function<void(const WarpHandlerEnv &)>;
-
 /**
- * Devirtualized warp-level handler: a plain function pointer plus an
- * opaque context, so the fused-site fast path's per-dispatch cost is
- * one predictable indirect call (no std::function dispatch). The
- * bundled tools register this form directly; a std::function
- * WarpHandler still works through a trampoline whose context is the
- * function object itself.
+ * Warp-level handler: one invocation per active warp per site, as a
+ * plain function pointer plus an opaque context (the tool or its
+ * device table), so the fused-site fast path's per-dispatch cost is
+ * one predictable indirect call.
  */
 using WarpHandlerFn = void (*)(const void *ctx,
                                const WarpHandlerEnv &we);
@@ -131,15 +126,17 @@ struct HandlerTraits
      * Whether the handler may be invoked inline from the
      * interpreter's fused-site fast path (simt/site_fuse.h), with no
      * fiber group backing it. An inline-safe handler must never
-     * suspend (no warp-rendezvous intrinsics outside warpHandler)
-     * and must not read scratch registers that were not spilled for
-     * the call: the fused path calls it before the ABI scratch
-     * registers (R2-R13) take their post-prologue values, so
-     * SASSIRegisterParams reads of unspilled scratch registers would
-     * differ from the fiber path. All bundled counters/profilers
-     * satisfy this; anything that suspends (value profiler's
-     * spin-lock ballot loops) or depends on raw scratch state must
-     * leave it false.
+     * suspend (a warp-synchronous one runs its warpFn body inline,
+     * never its per-lane rendezvous form) and must not read scratch
+     * registers that were not spilled for the call: the fused path
+     * calls it before the ABI scratch registers (R2-R13) take their
+     * post-prologue values, so SASSIRegisterParams reads of
+     * unspilled scratch registers would differ from the fiber path.
+     * The bundled counters and profilers satisfy this, the value
+     * profiler through its warp body (it reads only the spilled
+     * destination registers); a handler that depends on raw scratch
+     * state, or the error injector, which writes the register
+     * frame, must leave it false.
      */
     bool reentrantSafe = false;
 
@@ -147,18 +144,10 @@ struct HandlerTraits
      * Warp-level equivalent of the per-lane handler, required for a
      * warpSynchronous handler to qualify for inline dispatch: the
      * fused path cannot rendezvous lanes through fibers, so the
-     * handler author supplies the whole-warp computation explicitly.
-     * Must be observationally identical to running the per-lane
-     * handler on fibers (same device writes, same order of atomics
-     * per warp).
-     */
-    WarpHandler warpHandler;
-
-    /**
-     * Devirtualized form of warpHandler: when warpFn is set it is
-     * preferred over the std::function (warpCtx is passed through
-     * verbatim). The two must be behaviorally identical when both
-     * are present.
+     * handler author supplies the whole-warp computation explicitly,
+     * called as warpFn(warpCtx, env). Must be observationally
+     * identical to running the per-lane handler on fibers (same
+     * device writes, same order of atomics per warp).
      */
     WarpHandlerFn warpFn = nullptr;
     const void *warpCtx = nullptr;
@@ -210,9 +199,8 @@ struct SiteDispatchRecord
     const SiteInfo *site = nullptr;
     const Handler *handler = nullptr; //!< Null when no handler set.
     const HandlerTraits *traits = nullptr;
-    /** Resolved warp-level entry: direct warpFn, or a trampoline
-     *  over the std::function warpHandler (ctx = the function
-     *  object). Null when the site has no warp-level body. */
+    /** The traits' warp-level entry; null when the site has no
+     *  warp-level body. */
     WarpHandlerFn warpFn = nullptr;
     const void *warpCtx = nullptr;
     bool inlineOk = false;     //!< inlineDispatchable() answer.
@@ -301,7 +289,7 @@ class SassiRuntime : public simt::HandlerDispatcher
     /**
      * A site is inline-dispatchable when its handler is marked
      * reentrantSafe and either iterates lanes directly
-     * (!warpSynchronous) or supplies a warpHandler; a null handler
+     * (!warpSynchronous) or supplies a warpFn; a null handler
      * (metrics-only dispatch) always qualifies.
      */
     bool inlineDispatchable(int32_t site_key) override;

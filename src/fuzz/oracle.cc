@@ -163,10 +163,13 @@ std::string
 OracleConfig::describe() const
 {
     std::ostringstream out;
+    // One switch covers superblocks and the handler fast path; the
+    // text keeps a field for each, so reports and the bucket keys
+    // campaigns triage by keep one shape.
     const ExecConfig c = execConfigOf(mode);
     out << "tool=" << toolName(tool) << " threads=" << threads
-        << " superblocks=" << c.superblocks
-        << " fastpath=" << c.fuseSites << " simd=" << c.simd;
+        << " superblocks=" << c.fused << " fastpath=" << c.fused
+        << " simd=" << c.simd;
     return out.str();
 }
 
@@ -203,8 +206,7 @@ OracleReport::bucket() const
     std::ostringstream out;
     const ExecConfig c = execConfigOf(badConfig.mode);
     out << mismatchKindName(kind) << ':' << toolName(badConfig.tool)
-        << ":sb=" << c.superblocks << ":fp=" << c.fuseSites
-        << ":sd=" << c.simd;
+        << ":sb=" << c.fused << ":fp=" << c.fused << ":sd=" << c.simd;
     return out.str();
 }
 

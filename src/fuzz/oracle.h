@@ -65,14 +65,14 @@ struct OracleConfig
     ToolKind tool = ToolKind::None;
     int threads = 1;
 
-    /** Dispatch mode. On a host without AVX2 the SIMD modes run the
-     *  scalar tier, so those cells repeat their scalar twins
-     *  harmlessly. */
+    /** Dispatch mode. On a host without AVX2 fused-simd runs the
+     *  scalar tier, so its cells repeat fused's harmlessly. */
     simt::ExecMode mode = simt::ExecMode::Generic;
 
     /** @return e.g.\ "tool=instr_counter threads=8 superblocks=1
      *  fastpath=1 simd=1" (the mode's switches, see
-     *  simt::execConfigOf). */
+     *  simt::execConfigOf; superblocks and fastpath both print the
+     *  one fused switch). */
     std::string describe() const;
 };
 

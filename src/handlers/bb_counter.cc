@@ -17,7 +17,9 @@ BlockCounter::BlockCounter(simt::Device &dev, core::SassiRuntime &rt,
     // block key are warp-uniform, so the ballot collapses to the
     // active mask and the per-lane thread-entry adds to one add of
     // popc(active) — same table state, same counter sums.
-    traits.warpHandler = [table](const core::WarpHandlerEnv &we) {
+    traits.warpCtx = table;
+    traits.warpFn = [](const void *ctx, const core::WarpHandlerEnv &we) {
+        const auto *table = static_cast<const DevHashTable *>(ctx);
         uint32_t active = we.activeMask;
         const core::HandlerEnv &lead =
             we.envs[static_cast<size_t>(cuda::ffs(active) - 1)];

@@ -31,7 +31,9 @@ BranchProfiler::BranchProfiler(simt::Device &dev, core::SassiRuntime &rt,
     // become direct mask computations over the lane environments;
     // only the leader's table lookup and five adds touch the device,
     // exactly as in the per-lane body below.
-    traits.warpHandler = [table](const core::WarpHandlerEnv &we) {
+    traits.warpCtx = table;
+    traits.warpFn = [](const void *ctx, const core::WarpHandlerEnv &we) {
+        const auto *table = static_cast<const DevHashTable *>(ctx);
         uint32_t active = we.activeMask;
         uint32_t taken = 0;
         for (int lane = 0; lane < 32; ++lane) {

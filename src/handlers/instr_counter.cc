@@ -18,7 +18,10 @@ InstrCounter::InstrCounter(simt::Device &dev, core::SassiRuntime &rt)
     // reads only the (lane-invariant) instruction encoding, so the
     // 32 per-lane +1 atomics collapse to one +num_active per
     // category. Same final counter values, observationally.
-    traits.warpHandler = [counters](const core::WarpHandlerEnv &we) {
+    traits.warpCtx = this;
+    traits.warpFn = [](const void *ctx, const core::WarpHandlerEnv &we) {
+        const uint64_t counters =
+            static_cast<const InstrCounter *>(ctx)->counters_;
         auto n =
             static_cast<uint64_t>(cuda::popc(we.activeMask));
         const core::HandlerEnv &lead =

@@ -41,6 +41,11 @@ class InstrCounter
     /** Allocate device counters and install the handler. */
     InstrCounter(simt::Device &dev, core::SassiRuntime &rt);
 
+    /** The installed warp handler holds `this`, so the tool stays
+     *  put. */
+    InstrCounter(const InstrCounter &) = delete;
+    InstrCounter &operator=(const InstrCounter &) = delete;
+
     /** Host-side: copy the counters off the device. */
     std::array<uint64_t, NumCategories> counts() const;
 

@@ -18,7 +18,10 @@ MemDivProfiler::MemDivProfiler(simt::Device &dev, core::SassiRuntime &rt)
     // set is the lanes passing all three filters; here that set is
     // computed directly, and the leader-election loop walks the
     // collected line addresses instead of shuffling them.
-    traits.warpHandler = [counters](const core::WarpHandlerEnv &we) {
+    traits.warpCtx = this;
+    traits.warpFn = [](const void *ctx, const core::WarpHandlerEnv &we) {
+        const uint64_t counters =
+            static_cast<const MemDivProfiler *>(ctx)->counters_;
         uint32_t parts = 0;
         uint32_t lines[32] = {};
         for (int lane = 0; lane < 32; ++lane) {

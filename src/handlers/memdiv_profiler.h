@@ -50,6 +50,11 @@ class MemDivProfiler
 
     MemDivProfiler(simt::Device &dev, core::SassiRuntime &rt);
 
+    /** The installed warp handler holds `this`, so the tool stays
+     *  put. */
+    MemDivProfiler(const MemDivProfiler &) = delete;
+    MemDivProfiler &operator=(const MemDivProfiler &) = delete;
+
     /** Host-side: copy the counter matrix off the device. */
     DivergenceMatrix matrix() const;
 

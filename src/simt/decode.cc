@@ -691,7 +691,7 @@ classify(const Instruction &ins)
 
 } // namespace
 
-MicroProgram::MicroProgram(const ir::Kernel &kernel, bool fuseSites)
+MicroProgram::MicroProgram(const ir::Kernel &kernel)
     : error_(checkRegisterBudget(kernel))
 {
     if (!error_.empty())
@@ -734,17 +734,14 @@ MicroProgram::MicroProgram(const ir::Kernel &kernel, bool fuseSites)
     // site is always entered through its head micro-op in step()
     // (never from inside a batched superblock run).
     std::vector<uint8_t> fused(n, 0);
-    if (fuseSites) {
-        site_runs_ = compileSiteRuns(kernel, leader);
-        if (site_runs_.size() > 0xfffe)
-            site_runs_.resize(0xfffe); // uint16 id space; ample.
-        for (size_t i = 0; i < site_runs_.size(); ++i) {
-            const SiteRun &run = site_runs_[i];
-            uops_[run.start].site = static_cast<uint16_t>(i + 1);
-            for (uint32_t pc = run.start; pc < run.start + run.len;
-                 ++pc)
-                fused[pc] = 1;
-        }
+    site_runs_ = compileSiteRuns(kernel, leader);
+    if (site_runs_.size() > 0xfffe)
+        site_runs_.resize(0xfffe); // uint16 id space; ample.
+    for (size_t i = 0; i < site_runs_.size(); ++i) {
+        const SiteRun &run = site_runs_[i];
+        uops_[run.start].site = static_cast<uint16_t>(i + 1);
+        for (uint32_t pc = run.start; pc < run.start + run.len; ++pc)
+            fused[pc] = 1;
     }
 
     // Form superblocks: maximal runs of unpredicated ALU micro-ops,
@@ -875,13 +872,9 @@ UopCache::fingerprint(const ir::Kernel &kernel)
 }
 
 std::shared_ptr<const MicroProgram>
-UopCache::get(const ir::Kernel &kernel, bool fuseSites)
+UopCache::get(const ir::Kernel &kernel)
 {
-    // Salt the content print with the fused-sites bit so programs
-    // compiled with and without site fusing coexist in the cache.
-    uint64_t key = fingerprint(kernel);
-    if (fuseSites)
-        key ^= 0x9e3779b97f4a7c15ull;
+    const uint64_t key = fingerprint(kernel);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
@@ -893,7 +886,7 @@ UopCache::get(const ir::Kernel &kernel, bool fuseSites)
     // Compile outside the lock: programs are pure functions of the
     // kernel, so two threads racing on the same key just do the
     // work twice and the loser's copy is dropped.
-    auto prog = std::make_shared<const MicroProgram>(kernel, fuseSites);
+    auto prog = std::make_shared<const MicroProgram>(kernel);
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] =
         entries_.emplace(key, Entry{kernel.name, prog});
@@ -954,38 +947,30 @@ UopCache::clear()
 }
 
 void
-UopCache::noteRuns(uint64_t runs, uint64_t instrs)
+UopCache::noteLaunch(const DispatchUsage &u)
 {
-    if (!runs)
-        return;
     std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.counter("uop/dynamic/superblock_runs") += runs;
-    metrics_.counter("uop/dynamic/superblock_instrs") += instrs;
-}
-
-void
-UopCache::noteSimd(uint64_t vector_uops, uint64_t scalar_uops)
-{
-    if (!vector_uops && !scalar_uops)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.counter("uop/simd/vector_uops") += vector_uops;
-    metrics_.counter("uop/simd/scalar_uops") += scalar_uops;
-}
-
-void
-UopCache::noteHandlerCalls(uint64_t inline_calls, uint64_t fiber_calls,
-                           uint64_t fallbacks,
-                           uint64_t inline_spill_bytes)
-{
-    if (!inline_calls && !fiber_calls && !fallbacks)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.counter("uop/handler/inline_calls") += inline_calls;
-    metrics_.counter("uop/handler/fiber_calls") += fiber_calls;
-    metrics_.counter("uop/handler/inline_fallbacks") += fallbacks;
-    metrics_.counter("uop/handler/inline_spill_bytes") +=
-        inline_spill_bytes;
+    if (u.superblockRuns) {
+        metrics_.counter("uop/dynamic/superblock_runs") +=
+            u.superblockRuns;
+        metrics_.counter("uop/dynamic/superblock_instrs") +=
+            u.superblockInstrs;
+    }
+    if (u.vectorUops || u.scalarUops) {
+        metrics_.counter("uop/simd/vector_uops") += u.vectorUops;
+        metrics_.counter("uop/simd/scalar_uops") += u.scalarUops;
+    }
+    if (u.inlineHandlerCalls || u.fiberHandlerCalls ||
+        u.inlineFallbacks) {
+        metrics_.counter("uop/handler/inline_calls") +=
+            u.inlineHandlerCalls;
+        metrics_.counter("uop/handler/fiber_calls") +=
+            u.fiberHandlerCalls;
+        metrics_.counter("uop/handler/inline_fallbacks") +=
+            u.inlineFallbacks;
+        metrics_.counter("uop/handler/inline_spill_bytes") +=
+            u.inlineSpillBytes;
+    }
 }
 
 Metrics

@@ -39,12 +39,12 @@
  *    process-wide thread-safe registry (UopCache), shared across
  *    launches and CTA-worker shards, with compile/hit counters and
  *    superblock-length histograms published through util/metrics.
- *    The cache key includes the fused-sites bit, so programs
- *    compiled with and without site fusing coexist.
+ *    Each kernel version compiles to one program, shared by every
+ *    ExecMode.
  *
  * The per-instruction step() path is the whole interpreter in
- * ExecMode::Generic (SASSI_SIM_EXEC=generic) and handles every site
- * in the modes without fused sites, so instrumentation sites,
+ * ExecMode::Generic (SASSI_SIM_EXEC=generic), which ignores the
+ * program's superblocks and site runs, so instrumentation sites,
  * divergence, faults, and statistics are observationally identical
  * in every ExecMode (simt/launch.h).
  */
@@ -179,10 +179,9 @@ class MicroProgram
     /** Shortest instruction run worth forming a superblock for. */
     static constexpr uint32_t MinSuperblockLen = 2;
 
-    /** Compile a kernel; `fuseSites` also compiles its
-     *  instrumentation-site bundles into SiteRuns. */
-    explicit MicroProgram(const ir::Kernel &kernel,
-                          bool fuseSites = false);
+    /** Compile a kernel, its instrumentation-site bundles into
+     *  SiteRuns included. */
+    explicit MicroProgram(const ir::Kernel &kernel);
 
     /** @return why the kernel cannot run (naming the kernel, the pc
      *  and the register), or empty when it passed the register
@@ -254,10 +253,8 @@ class UopCache
     /** The process-wide cache instance. */
     static UopCache &global();
 
-    /** Look up (or compile and insert) a kernel's micro-program,
-     *  with or without fused sites. */
-    std::shared_ptr<const MicroProgram> get(const ir::Kernel &kernel,
-                                            bool fuseSites = false);
+    /** Look up (or compile and insert) a kernel's micro-program. */
+    std::shared_ptr<const MicroProgram> get(const ir::Kernel &kernel);
 
     /** Drop every entry compiled from a kernel with this name.
      *  Called when a pass rewrites a kernel in place; lookups would
@@ -268,20 +265,12 @@ class UopCache
     /** Drop every entry and reset the counters (tests). */
     void clear();
 
-    /** Credit dynamic superblock executions from a finished launch. */
-    void noteRuns(uint64_t runs, uint64_t instrs);
-
-    /** Credit uop dispatches from a finished launch that ran with
-     *  the SIMD tier enabled: uops executed lane-vectorized vs uops
-     *  that fell back to their scalar exec function. */
-    void noteSimd(uint64_t vector_uops, uint64_t scalar_uops);
-
-    /** Credit handler dispatches from a finished launch: inline
-     *  (fused) calls, fiber-path calls, sites that hit a fused head
-     *  but fell back, and frame-template bytes written inline. */
-    void noteHandlerCalls(uint64_t inline_calls, uint64_t fiber_calls,
-                          uint64_t fallbacks,
-                          uint64_t inline_spill_bytes);
+    /** Credit a finished launch's dispatch counts: superblock runs
+     *  ("uop/dynamic/..."), SIMD-tier uops executed lane-vectorized
+     *  vs on their scalar exec function ("uop/simd/..."), and
+     *  handler dispatches ("uop/handler/..."). A group whose counts
+     *  are all zero leaves its counters unregistered. */
+    void noteLaunch(const DispatchUsage &usage);
 
     /** @return a copy of the cache's metrics: compile/hit/entry
      *  counters, superblock-length histogram, and dynamic run
@@ -293,8 +282,7 @@ class UopCache
     /** @return number of cached programs. */
     size_t size() const;
 
-    /** Content fingerprint a kernel is cached under (the final key
-     *  additionally mixes in the fused-sites bit). */
+    /** Content fingerprint a kernel is cached under. */
     static uint64_t fingerprint(const ir::Kernel &kernel);
 
   private:

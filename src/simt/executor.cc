@@ -86,7 +86,7 @@ Executor::run()
 {
     exec_ = resolveExecConfig(opts_.exec);
     if (!prog_)
-        prog_ = UopCache::global().get(kernel_, exec_.fuseSites);
+        prog_ = UopCache::global().get(kernel_);
     if (!prog_->error().empty()) {
         LaunchResult result;
         result.outcome = Outcome::InvalidKernel;
@@ -114,14 +114,7 @@ Executor::run()
         result.outcome = chunk.outcome;
         result.message = std::move(chunk.message);
         result.stats = chunk.stats;
-        stats_ = result.stats;
-        UopCache::global().noteRuns(sb_runs_, sb_instrs_);
-        UopCache::global().noteSimd(simd_vec_uops_, simd_scalar_uops_);
-        UopCache::global().noteHandlerCalls(
-            hs_inline_, hs_fiber_, hs_fallback_, hs_inline_spill_bytes_);
-        exportDispatchUsage(result);
-        flushCounterShard();
-        finalizeMetrics(result);
+        finishLaunch(result);
         return result;
     }
 
@@ -172,40 +165,19 @@ Executor::run()
         size_t i = static_cast<size_t>(w);
         metrics_.merge(shards[i]->metrics_);
         counter_shard_.merge(shards[i]->counter_shard_);
-        sb_runs_ += shards[i]->sb_runs_;
-        simd_vec_uops_ += shards[i]->simd_vec_uops_;
-        simd_scalar_uops_ += shards[i]->simd_scalar_uops_;
-        sb_instrs_ += shards[i]->sb_instrs_;
-        hs_inline_ += shards[i]->hs_inline_;
-        hs_fiber_ += shards[i]->hs_fiber_;
-        hs_fallback_ += shards[i]->hs_fallback_;
-        hs_inline_spill_bytes_ += shards[i]->hs_inline_spill_bytes_;
+        usage_.add(shards[i]->usage_);
     }
-    stats_ = merged.stats;
-    UopCache::global().noteRuns(sb_runs_, sb_instrs_);
-    UopCache::global().noteSimd(simd_vec_uops_, simd_scalar_uops_);
-    UopCache::global().noteHandlerCalls(
-        hs_inline_, hs_fiber_, hs_fallback_, hs_inline_spill_bytes_);
-    exportDispatchUsage(merged);
-    flushCounterShard();
-    finalizeMetrics(merged);
+    finishLaunch(merged);
     return merged;
 }
 
 void
-Executor::exportDispatchUsage(LaunchResult &result) const
+Executor::finishLaunch(LaunchResult &result)
 {
-    result.dispatch.superblockRuns = sb_runs_;
-    result.dispatch.superblockInstrs = sb_instrs_;
-    result.dispatch.vectorUops = simd_vec_uops_;
-    result.dispatch.scalarUops = simd_scalar_uops_;
-    result.dispatch.inlineHandlerCalls = hs_inline_;
-    result.dispatch.fiberHandlerCalls = hs_fiber_;
-}
-
-void
-Executor::finalizeMetrics(LaunchResult &result)
-{
+    stats_ = result.stats;
+    UopCache::global().noteLaunch(usage_);
+    result.dispatch = usage_;
+    flushCounterShard();
     const LaunchStats &s = result.stats;
     metrics_.counter("simt/ctas") += s.ctas;
     metrics_.counter("simt/warp_instrs") += s.warpInstrs;
@@ -718,8 +690,8 @@ Executor::execSuperblock(Warp &warp, const Superblock &sb)
             (u.simd != nullptr ? u.simd : u.alu)(
                 uop_ctx_, warp, code[start + i], exec);
         }
-        simd_vec_uops_ += sb.simdUops;
-        simd_scalar_uops_ += len - sb.simdUops;
+        usage_.vectorUops += sb.simdUops;
+        usage_.scalarUops += len - sb.simdUops;
     } else {
         for (uint32_t i = 0; i < len; ++i) {
             const MicroOp &u = prog_->at(start + i);
@@ -739,8 +711,8 @@ Executor::execSuperblock(Warp &warp, const Superblock &sb)
     // CTA-wide interleaving of shared-state accesses — identical
     // to per-instruction stepping (see Warp::skipRounds).
     warp.skipRounds = len - 1;
-    ++sb_runs_;
-    sb_instrs_ += len;
+    ++usage_.superblockRuns;
+    usage_.superblockInstrs += len;
 }
 
 bool
@@ -753,7 +725,7 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
         // Not inline-dispatchable (or the watchdog budget no longer
         // covers the whole bundle): the generic path handles it —
         // including the fiber dispatch and exact-pc hang fault.
-        ++hs_fallback_;
+        ++usage_.inlineFallbacks;
         return false;
     }
     const uint32_t active = warp.activeMask;
@@ -795,7 +767,7 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
             static_cast<int64_t>(r1s ? r1s[lane] : 0) + run.frameRel;
         if (b < 0 ||
             b + frame_bytes > static_cast<int64_t>(kernel_.localBytes)) {
-            ++hs_fallback_;
+            ++usage_.inlineFallbacks;
             return false;
         }
         fptr[lane] = lmem0 + static_cast<size_t>(lane) * lstride +
@@ -935,8 +907,8 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
         }
     }
 
-    hs_inline_spill_bytes_ += run.spillBytesPerLane() * lanes;
-    ++hs_inline_;
+    usage_.inlineSpillBytes += run.spillBytesPerLane() * lanes;
+    ++usage_.inlineHandlerCalls;
 
     // Park on the JCAL's round: this round covered instruction
     // start, the next jcalIdx - 1 pay off the rest of the prologue,
@@ -1215,7 +1187,7 @@ Executor::step(Warp &warp)
     // handler call were compiled into a frame template at decode
     // time. enterSiteRun falls back (returning false) when the site
     // must take the generic path below.
-    if (dec.site != 0 && exec_.fuseSites &&
+    if (dec.site != 0 && exec_.fused &&
         enterSiteRun(warp, dec.site))
         return;
 
@@ -1224,7 +1196,7 @@ Executor::step(Warp &warp)
     // when the whole run no longer fits in the watchdog budget, so
     // a hang faults at the exact instruction — with the exact
     // message — the per-instruction path would report.
-    if (dec.sb != 0 && exec_.superblocks) {
+    if (dec.sb != 0 && exec_.fused) {
         const Superblock &sb = prog_->superblock(dec.sb);
         if (watchdog_count_ + sb.len <= opts_.watchdog) {
             execSuperblock(warp, sb);
@@ -1348,7 +1320,7 @@ Executor::step(Warp &warp)
                       "handler JCAL with no dispatcher installed");
             }
             ++stats_.handlerCalls;
-            ++hs_fiber_;
+            ++usage_.fiberHandlerCalls;
             d->dispatch(*this, warp, ins.target - HandlerBase);
             ++warp.pc;
             return;

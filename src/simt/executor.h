@@ -218,10 +218,10 @@ class Executor
     void runOneCta(uint64_t linear);
     /** Apply the merged deferred-counter deltas to device memory. */
     void flushCounterShard();
-    /** Republish final stats into metrics_ and attach the registry. */
-    void finalizeMetrics(LaunchResult &result);
-    /** Export this launch's dispatch-plane totals (post-merge). */
-    void exportDispatchUsage(LaunchResult &result) const;
+    /** Finish a launch whose stats and dispatch counts are merged:
+     *  credit the UopCache, flush deferred counters, republish the
+     *  stats into metrics_ and attach the registry and usage. */
+    void finishLaunch(LaunchResult &result);
     void runCta();
     void step(Warp &warp);
     void unwindStack(Warp &warp);
@@ -291,31 +291,16 @@ class Executor
     // and copied to its shards.
     ExecConfig exec_;
 
-    // Dynamic compiled-handler dispatch counts of this worker,
-    // flushed to the UopCache once per launch alongside sb_runs_
-    // (never into the launch registry, which must serialize
-    // identically with the fast path on and off).
-    uint64_t hs_inline_ = 0;
-    uint64_t hs_fiber_ = 0;
-    uint64_t hs_fallback_ = 0;
-    uint64_t hs_inline_spill_bytes_ = 0;
+    // Dynamic dispatch-plane counts of this worker: superblock
+    // runs, SIMD-tier uops, inline and fiber handler calls. Merged
+    // across shards, exported with the result and flushed to the
+    // UopCache once per launch (never into the launch registry,
+    // which must serialize identically in every ExecMode).
+    DispatchUsage usage_;
 
     // Context the micro-op exec functions need beyond the warp;
     // refreshed per CTA.
     UopCtx uop_ctx_;
-
-    // Dynamic superblock executions of this worker, flushed to the
-    // UopCache once per launch (not into the launch registry, which
-    // must serialize identically in every ExecMode).
-    uint64_t sb_runs_ = 0;
-    uint64_t sb_instrs_ = 0;
-
-    // Uop dispatch counts of this worker while the SIMD tier was
-    // on: executed vectorized vs fell back to the scalar exec
-    // function. Flushed with sb_runs_ (same launch-registry
-    // invariance rule).
-    uint64_t simd_vec_uops_ = 0;
-    uint64_t simd_scalar_uops_ = 0;
 
     // Lowest faulting CTA-linear id published so far (fetch-min),
     // pointing into run()'s frame. Workers skip CTAs above the

@@ -138,36 +138,35 @@ struct LaunchStats
  * observationally equivalent to Generic, the reference: same
  * LaunchStats, metrics registry, tool aggregates and memory. The
  * differential suites and the fuzz oracle run each program in every
- * mode of kExecModes to hold them to that.
+ * mode of kExecModes to hold them to that. All three modes run the
+ * same compiled MicroProgram (simt/decode.h); they differ only in
+ * which parts of it the executor uses.
  *
  *  - Generic: per-instruction step() everywhere, and every
  *    instrumentation site through the fiber dispatch.
- *  - Superblock: straight-line runs of unpredicated ALU micro-ops
- *    execute in one batched loop (simt/decode.h), one lane at a
- *    time through the scalar exec functions.
- *  - SuperblockSimd: the same runs on the AVX2 lane-vectorized tier
- *    (simt/simd/simd_exec.h).
- *  - Fused: superblocks plus compiled instrumentation sites: frame
- *    templates written with direct stores, reentrant-safe handlers
- *    called inline instead of through a fiber (simt/site_fuse.h).
- *  - FusedSimd: fused sites on the SIMD tier; the default.
+ *  - Fused: straight-line runs of unpredicated ALU micro-ops
+ *    execute in one batched superblock loop through the scalar exec
+ *    functions, and compiled instrumentation sites write their
+ *    frame templates with direct stores and call reentrant-safe
+ *    handlers inline instead of through a fiber
+ *    (simt/site_fuse.h). The only tier on a host without AVX2, and
+ *    the reference of the SIMD suites.
+ *  - FusedSimd: Fused with superblocks on the AVX2 lane-vectorized
+ *    tier (simt/simd/simd_exec.h); the default.
  *
- * On a host without AVX2 the SIMD modes run the scalar tier. The
- * fiber path always remains for warp-synchronous handlers and sites
- * that do not fuse.
+ * On a host without AVX2 FusedSimd runs the scalar tier. The fiber
+ * path always remains for warp-synchronous handlers and sites that
+ * do not fuse.
  */
 enum class ExecMode : uint8_t {
     Generic,
-    Superblock,
-    SuperblockSimd,
     Fused,
     FusedSimd,
 };
 
 /** Every mode, reference first. */
 inline constexpr ExecMode kExecModes[] = {
-    ExecMode::Generic, ExecMode::Superblock, ExecMode::SuperblockSimd,
-    ExecMode::Fused, ExecMode::FusedSimd};
+    ExecMode::Generic, ExecMode::Fused, ExecMode::FusedSimd};
 
 /** The mode a launch runs in unless told otherwise. */
 inline constexpr ExecMode kDefaultExecMode = ExecMode::FusedSimd;
@@ -175,9 +174,10 @@ inline constexpr ExecMode kDefaultExecMode = ExecMode::FusedSimd;
 /** The interpreter switches an ExecMode turns on. */
 struct ExecConfig
 {
-    bool superblocks = false; //!< Batched superblock runs.
-    bool fuseSites = false;   //!< Compiled instrumentation sites.
-    bool simd = false;        //!< AVX2 lane-vectorized uops.
+    /** Batched superblock runs and compiled instrumentation
+     *  sites. */
+    bool fused = false;
+    bool simd = false; //!< AVX2 lane-vectorized uops.
 
     bool operator==(const ExecConfig &) const = default;
 };
@@ -189,11 +189,9 @@ struct ExecModeRow
     ExecConfig config;
 };
 inline constexpr ExecModeRow kExecModeRows[] = {
-    {"generic", {false, false, false}},
-    {"superblock", {true, false, false}},
-    {"superblock-simd", {true, false, true}},
-    {"fused", {true, true, false}},
-    {"fused-simd", {true, true, true}},
+    {"generic", {false, false}},
+    {"fused", {true, false}},
+    {"fused-simd", {true, true}},
 };
 static_assert(std::size(kExecModeRows) == std::size(kExecModes));
 
@@ -278,6 +276,22 @@ struct DispatchUsage
     uint64_t scalarUops = 0;      //!< SIMD-tier scalar fallbacks.
     uint64_t inlineHandlerCalls = 0; //!< Fused-site inline dispatches.
     uint64_t fiberHandlerCalls = 0;  //!< Fiber-path dispatches.
+    uint64_t inlineFallbacks = 0; //!< Fused heads that fell back.
+    uint64_t inlineSpillBytes = 0;//!< Frame bytes written inline.
+
+    /** Accumulate another worker's counts. */
+    void
+    add(const DispatchUsage &o)
+    {
+        superblockRuns += o.superblockRuns;
+        superblockInstrs += o.superblockInstrs;
+        vectorUops += o.vectorUops;
+        scalarUops += o.scalarUops;
+        inlineHandlerCalls += o.inlineHandlerCalls;
+        fiberHandlerCalls += o.fiberHandlerCalls;
+        inlineFallbacks += o.inlineFallbacks;
+        inlineSpillBytes += o.inlineSpillBytes;
+    }
 };
 
 /** The result of one kernel launch. */

@@ -114,7 +114,7 @@ TEST(FuzzCampaign, MutationDiscoversCoverageGenerationAloneMisses)
 void
 breakDataAluUnderSuperblocks(ir::Module &m, const OracleConfig &cfg)
 {
-    if (!simt::execConfigOf(cfg.mode).superblocks)
+    if (!simt::execConfigOf(cfg.mode).fused)
         return;
     for (auto &k : m.kernels)
         for (auto &ins : k.code) {

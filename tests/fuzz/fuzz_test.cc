@@ -121,8 +121,8 @@ TEST(FuzzOracle, UninstrumentedSweepIsCheaperAndPasses)
     FuzzProgram p = generateProgram(2, 0);
     OracleReport r = runOracle(p, opt);
     EXPECT_EQ(r.status, OracleStatus::Pass) << r.message;
-    // kExecModes (5 modes) x {1,2,8 threads}, no tools.
-    EXPECT_EQ(r.configsRun, 15);
+    // kExecModes (3 modes) x {1,2,8 threads}, no tools.
+    EXPECT_EQ(r.configsRun, 9);
 }
 
 /** A straight-line program with a marker instruction the broken-op
@@ -155,7 +155,7 @@ markedProgram()
 void
 breakMarkerUnderSuperblocks(ir::Module &m, const OracleConfig &cfg)
 {
-    if (!simt::execConfigOf(cfg.mode).superblocks)
+    if (!simt::execConfigOf(cfg.mode).fused)
         return;
     for (auto &k : m.kernels)
         for (auto &ins : k.code)
@@ -181,12 +181,12 @@ TEST(FuzzOracle, CatchesAnIntentionallyBrokenOp)
 
 TEST(FuzzOracle, CatchesAFastpathOnlyBrokenOp)
 {
-    // Same marker corruption, but keyed to the compiled-handler fast
-    // path: only the (superblocks=1, fastpath=1) plane misbehaves,
-    // so a matrix without the fastpath dimension would miss it.
+    // Same marker corruption, keyed to the switch that turns on the
+    // compiled-handler fast path (and superblocks with it): the
+    // report must name the failing plane's fastpath field too.
     OracleOptions opt;
     opt.moduleTweak = [](ir::Module &m, const OracleConfig &cfg) {
-        if (!simt::execConfigOf(cfg.mode).fuseSites)
+        if (!simt::execConfigOf(cfg.mode).fused)
             return;
         for (auto &k : m.kernels)
             for (auto &ins : k.code)

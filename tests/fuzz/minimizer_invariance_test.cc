@@ -54,7 +54,7 @@ markedProgram()
 void
 breakMarkerUnderSuperblocks(ir::Module &m, const OracleConfig &cfg)
 {
-    if (!simt::execConfigOf(cfg.mode).superblocks)
+    if (!simt::execConfigOf(cfg.mode).fused)
         return;
     for (auto &k : m.kernels)
         for (auto &ins : k.code)
@@ -121,7 +121,7 @@ TEST(MinimizerInvariance, MinimizerRefusesToDriftBuckets)
                     marker = true;
         for (auto &k : m.kernels)
             for (auto &ins : k.code) {
-                if (marker && exec.superblocks && ins.bIsImm &&
+                if (marker && exec.fused && ins.bIsImm &&
                     ins.imm == 0x777) {
                     ins.imm = 0x778;
                     return;

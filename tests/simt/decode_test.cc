@@ -5,7 +5,8 @@
  * outside their budget compile to an error; superblock formation
  * respects basic-block leaders, predication, and the eligibility
  * rules; the process-wide UopCache shares compiled programs by
- * content fingerprint; every ExecMode name parses back to its mode;
+ * content fingerprint, one per kernel version whatever the mode;
+ * every ExecMode name parses back to its mode;
  * and the launch-time mode resolves option > environment > default.
  */
 
@@ -15,6 +16,8 @@
 #include <optional>
 #include <string>
 
+#include "core/sassi.h"
+#include "handlers/instr_counter.h"
 #include "sassir/builder.h"
 #include "simt/decode.h"
 #include "simt/simd/simd_exec.h"
@@ -307,6 +310,36 @@ TEST(UopCache, HitSharesCompiledProgram)
     cache.clear();
 }
 
+TEST(UopCache, OneProgramServesEveryMode)
+{
+    // An instrumented kernel has site runs to fuse, yet every mode
+    // runs the one program compiled for it: generic and fused only
+    // differ in which parts of it the executor uses.
+    Device dev;
+    ir::Module mod;
+    mod.kernels.push_back(straightKernel("one_program"));
+    dev.loadModule(std::move(mod));
+    core::SassiRuntime rt(dev);
+    rt.instrument(handlers::InstrCounter::options());
+    handlers::InstrCounter tool(dev, rt);
+
+    UopCache &cache = UopCache::global();
+    cache.clear();
+    for (ExecMode m : kExecModes) {
+        LaunchOptions opts;
+        opts.numThreads = 1;
+        opts.exec = m;
+        LaunchResult r = dev.launch("one_program", Dim3(1), Dim3(32),
+                                    KernelArgs(), opts);
+        ASSERT_TRUE(r.ok()) << execModeName(m) << ": " << r.message;
+    }
+    Metrics m = cache.snapshot();
+    EXPECT_EQ(counterOf(m, "uop/cache/compiles"), 1u);
+    EXPECT_EQ(counterOf(m, "uop/cache/hits"), std::size(kExecModes) - 1);
+    EXPECT_GT(counterOf(m, "uop/static/site_runs"), 0u);
+    cache.clear();
+}
+
 TEST(UopCache, FingerprintIsContentSensitive)
 {
     ir::Kernel a = straightKernel("fp", 7);
@@ -387,12 +420,15 @@ TEST(ExecMode, UnknownOrEmptyNameIsRejected)
     EXPECT_EQ(parseExecMode("0"), std::nullopt);
     EXPECT_EQ(parseExecMode("Generic"), std::nullopt);
     EXPECT_EQ(parseExecMode("fused-simd "), std::nullopt);
+    // Retired mode names are as unknown as any other string.
+    EXPECT_EQ(parseExecMode("superblock"), std::nullopt);
+    EXPECT_EQ(parseExecMode("superblock-simd"), std::nullopt);
 }
 
 TEST(ResolveExecConfig, OptionBeatsEnvironmentBeatsDefault)
 {
     const ExecConfig fused = execConfigOf(ExecMode::Fused);
-    const ExecConfig superblock = execConfigOf(ExecMode::Superblock);
+    const ExecConfig generic = execConfigOf(ExecMode::Generic);
     {
         ScopedExecEnv env(nullptr);
         EXPECT_EQ(resolveExecConfig(std::nullopt),
@@ -400,8 +436,8 @@ TEST(ResolveExecConfig, OptionBeatsEnvironmentBeatsDefault)
         EXPECT_EQ(resolveExecConfig(ExecMode::Fused), fused);
     }
     {
-        ScopedExecEnv env("superblock");
-        EXPECT_EQ(resolveExecConfig(std::nullopt), superblock);
+        ScopedExecEnv env("generic");
+        EXPECT_EQ(resolveExecConfig(std::nullopt), generic);
         EXPECT_EQ(resolveExecConfig(ExecMode::Fused), fused);
     }
     {

@@ -4,10 +4,11 @@
  * the warp-level tools that left the fiber path (ValueProfiler's and
  * MemTracer's warp bodies run via the devirtualized inline call, no
  * per-lane fiber group) must produce the same results with the
- * handler fast path off (ExecMode::SuperblockSimd: fiber dispatch)
- * and on (ExecMode::FusedSimd: fused sites, SIMD frame
- * materialization, inline call). Both modes are pinned, so the
- * environment cannot collapse the two sides onto one path. This is
+ * handler fast path off (ExecMode::Generic: per-instruction
+ * stepping, fiber dispatch) and on (ExecMode::FusedSimd: fused
+ * sites, SIMD frame materialization, inline call). Both modes are
+ * pinned, so the environment cannot collapse the two sides onto one
+ * path. This is
  * the contract that lets reentrantSafe tools default onto the fast
  * path — any divergence in aggregates, traces, stats, or device
  * memory is a bug in site fusion or the inline dispatcher.
@@ -40,7 +41,7 @@ constexpr int kCtas = 8;
 constexpr int kBlock = 64;
 
 /** The two modes every comparison here runs, fast path off then on. */
-constexpr ExecMode kSides[2] = {ExecMode::SuperblockSimd,
+constexpr ExecMode kSides[2] = {ExecMode::Generic,
                                 ExecMode::FusedSimd};
 
 /**

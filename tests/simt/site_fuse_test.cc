@@ -10,9 +10,10 @@
  * the identity marking (fills that merely reload what the prologue
  * spilled) is exact. The differential matrix then runs every bundled
  * handler at 1/2/8 worker threads with the compiled-handler fast
- * path off vs on and demands bit-identical device memory, launch
- * stats, and the metrics registry — the observational-equivalence
- * contract that lets the fast path stay on by default.
+ * path off (the generic mode) vs on (the default mode) and demands
+ * bit-identical device memory, launch stats, and the metrics
+ * registry — the observational-equivalence contract that lets the
+ * fast path stay on by default.
  */
 
 #include <gtest/gtest.h>
@@ -248,7 +249,7 @@ TEST(SiteFuseTemplate, IdentityMarkingIsExact)
 constexpr int kThreadCounts[] = {1, 2, 8};
 
 /** The two modes every comparison here runs, fast path off then on. */
-constexpr ExecMode kSides[2] = {ExecMode::SuperblockSimd,
+constexpr ExecMode kSides[2] = {ExecMode::Generic,
                                 ExecMode::FusedSimd};
 
 void
@@ -306,8 +307,8 @@ launchTool(ToolEnv &env, int threads, ExecMode mode)
 }
 
 /**
- * Run the stress kernel under a tool with the compiled-handler fast
- * path off vs on (superblocks on in both) at one thread count and
+ * Run the stress kernel under a tool in the two kSides modes at one
+ * thread count and
  * assert every observable matches bit for bit: launch stats, the
  * metrics registry, the tool's published aggregate, and device
  * memory.

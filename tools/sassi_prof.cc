@@ -15,9 +15,8 @@
  *     --trace FILE   also record a Chrome trace_event timeline
  *     --csv          emit CSV instead of an aligned table
  *     --no-json      skip the BENCH_simt.json merge
- *     --exec MODE    dispatch mode: generic, superblock,
- *                    superblock-simd, fused or fused-simd (default:
- *                    SASSI_SIM_EXEC, else fused-simd; see
+ *     --exec MODE    dispatch mode: generic, fused or fused-simd
+ *                    (default: SASSI_SIM_EXEC, else fused-simd; see
  *                    simt::ExecMode)
  *
  * The table includes the process-wide micro-op compiler counters
